@@ -25,7 +25,7 @@ const (
 	EvNone     Event = iota
 	EvCycles         // Cycle_cnt: processor cycles
 	EvInstrs         // Instr_cnt: instructions completed
-	EvICMiss         // IC_miss: instruction cache misses (modeled as always hitting)
+	EvICMiss         // IC_miss: instruction cache misses (one fetch probe per I$ line entered)
 	EvDCRdMiss       // dcrm: D$ read misses
 	EvECRef          // ecref: E$ references
 	EvECRdMiss       // ecrm: E$ read misses

@@ -129,66 +129,24 @@ func (m *Machine) runBatch(limit uint64) (uint64, error) {
 		breakOnSyscall = true
 	}
 	if m.backend == BackendTranslated {
-		// Armed-event budget: each armed memory/I$/TLB counter shrinks the
-		// horizon along the axis that bounds its event tightest. I$ misses
-		// fire at most once per instruction (every fetch probes the I$
-		// once), so they bound the instruction horizon maxN. The per-access
-		// events — D$ read misses, E$ references, E$ read misses, DTLB
-		// misses — fire at most once per data memory access, so they bound
-		// maxMem, the batch's memory-access budget (a translated block
-		// pre-counts its accesses; runMixed charges interpreter chunks one
-		// access per instruction). E$ stall cycles are a subset of the
-		// cycles the stalling instructions themselves retire, so an armed
-		// EvECStall counter tightens the cycle horizon exactly like an
-		// armed cycle counter — backed off by the worst-case instruction
-		// cost — rather than wasting 1/maxInstrCost of its headroom on
-		// every non-stalling instruction. Syscall service cycles never
-		// stall, so unlike EvCycles the bound needs no syscall break.
-		// Within these bounds no counter can overflow — not in a
-		// translated block, not in an interpreter chunk, not on a bail (a
-		// bailing access faults before touching TLB or cache; its fetch
-		// probe is covered by Headroom's reserved extra event) — so the
-		// whole batch counts armed events into evDelta and flushes once at
-		// the boundary. The overflowing event itself always lands on a
-		// single reference Step with exact trigger attribution and
-		// in-order skid draws.
-		maxMem := ^uint64(0)
-		for _, c := range m.counters {
-			if c == nil {
-				continue
+		// Translated blocks count per-access events — D$/E$ misses, E$
+		// references and stall cycles, DTLB misses — exactly, at the access
+		// that raises them, and end the stretch right after any access
+		// whose event overflows a counter, so those events need no horizon.
+		// I$ misses are the exception: their fetch probes ride on ALU ops
+		// that have no exit point, so an armed I$ counter bounds the
+		// instruction horizon instead (at most one miss per instruction;
+		// Headroom reserves one extra for a bailing instruction's probe).
+		if mask := m.armed[hwc.EvICMiss]; mask != 0 {
+			n, ok := m.counters[picOf(mask)].Headroom(1)
+			if !ok {
+				return 1, m.Step()
 			}
-			switch c.Event {
-			case hwc.EvInstrs, hwc.EvCycles:
-				// Bounded by the instruction and cycle horizons above.
-			case hwc.EvECStall:
-				r := c.Remaining()
-				if r <= m.maxInstrCost {
-					return 1, m.Step()
-				}
-				if s := m.stats.Cycles + r - m.maxInstrCost; s < stop {
-					stop = s
-				}
-			case hwc.EvICMiss:
-				n, ok := c.Headroom(1)
-				if !ok {
-					return 1, m.Step()
-				}
-				if n < maxN {
-					maxN = n
-				}
-			default:
-				n, ok := c.Headroom(1)
-				if !ok {
-					return 1, m.Step()
-				}
-				if n < maxMem {
-					maxMem = n
-				}
+			if n < maxN {
+				maxN = n
 			}
 		}
-		m.evBatch = true
-		n, err := m.runMixed(maxN, maxMem, stop, breakOnSyscall)
-		m.evFlush()
+		n, err := m.runMixed(maxN, stop, breakOnSyscall)
 		if n == 0 && err == nil && !m.halted {
 			// The batch gave way immediately (syscall under a cycle-counter
 			// horizon): retire one instruction on the reference path.
@@ -652,35 +610,10 @@ func (m *Machine) access(d *isa.Decoded, pc, addr uint64) (uint64, error) {
 // count feeds n events into whichever PIC registers are armed for ev, and
 // schedules overflow signal delivery with per-event skid. The armed-event
 // mask makes the common case — no counter interested — a single load and
-// branch instead of a scan of both registers. During a budgeted batch
-// (evBatch) armed events accumulate in evDelta instead: the batch horizon
-// proves none of them can overflow, so the deferred flush needs no
-// trigger PC or effective address.
+// branch instead of a scan of both registers.
 func (m *Machine) count(ev hwc.Event, n uint64, trigPC, ea uint64, hasEA bool) {
 	if mask := m.armed[ev]; mask != 0 {
-		if m.evBatch {
-			m.evDelta[ev] += n
-			return
-		}
 		m.countArmed(mask, ev, n, trigPC, ea, hasEA)
-	}
-}
-
-// evFlush leaves batch-counting mode and feeds the accumulated per-event
-// deltas to the armed counters. The runBatch budget guarantees no delta
-// can reach a counter's overflow threshold — the reference execution
-// cannot overflow within the batch's instruction span either — so these
-// Adds never fire an overflow, draw a skid, or need attribution.
-func (m *Machine) evFlush() {
-	m.evBatch = false
-	for pic, c := range m.counters {
-		if c == nil {
-			continue
-		}
-		if d := m.evDelta[c.Event]; d != 0 {
-			m.evDelta[c.Event] = 0
-			m.countOn(pic, c.Event, d, 0, 0, false)
-		}
 	}
 }
 

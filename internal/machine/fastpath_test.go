@@ -96,7 +96,46 @@ func driveMachine(t *testing.T, cfg Config, prog func(b *asm.Builder), arm func(
 	lg.regs = m.Regs
 	lg.pc = m.PC
 	lg.totals = [2]uint64{m.CounterTotal(0), m.CounterTotal(1)}
+	checkCounterInvariants(t, m, lg)
 	return lg
+}
+
+// checkCounterInvariants asserts what must hold at the end of every run
+// on every backend, whatever its event order: each overflow a counter
+// fired was delivered or is still pending, and no event count exceeds
+// the count of the population it is drawn from.
+func checkCounterInvariants(t *testing.T, m *Machine, lg runLog) {
+	t.Helper()
+	for pic, c := range m.counters {
+		if c == nil {
+			continue
+		}
+		var fired uint64
+		for _, e := range lg.events {
+			if e.PIC == pic {
+				fired++
+			}
+		}
+		for _, p := range m.pending {
+			if p.ev.PIC == pic {
+				fired++
+			}
+		}
+		if want := c.Total / c.Interval; fired != want {
+			t.Errorf("PIC%d (%v, interval %d): %d overflows delivered or pending, want total/interval = %d/%d = %d",
+				pic, c.Event, c.Interval, fired, c.Total, c.Interval, want)
+		}
+	}
+	st := lg.stats
+	if st.ECRdMisses > st.ECRefs {
+		t.Errorf("E$ read misses %d exceed E$ references %d", st.ECRdMisses, st.ECRefs)
+	}
+	if st.ECStallCycles > st.Cycles {
+		t.Errorf("E$ stall cycles %d exceed cycles %d", st.ECStallCycles, st.Cycles)
+	}
+	if st.DCRdMisses > st.Loads {
+		t.Errorf("D$ read misses %d exceed loads %d", st.DCRdMisses, st.Loads)
+	}
 }
 
 // withBackend wraps an arming function so the same driveMachine workload
@@ -165,6 +204,67 @@ func equivProg(b *asm.Builder) {
 	b.Emit(isa.Instr{Op: isa.Nop})                                                 // delay slot
 }
 
+// Load sites of exitProg, one per position at which a translated block
+// can end on an overflowing access.
+const (
+	siteMid   = 1 << iota // second instruction of a 64-instruction capped block
+	siteNops              // followed only by nops up to a capped block's end
+	siteLast              // last instruction of a capped block
+	siteDelay             // delay slot of the loop's closing branch
+)
+
+// exitProg is a loop that streams loads through four disjoint 128 KiB
+// regions at a 72-byte stride, so every load it emits misses the D$ (and
+// the E$ on every 512-byte line crossing). Each selected site holds one
+// of the loads; unselected sites hold nops, so the block layout — two
+// capped blocks of transMaxBlockInstrs, then the closing compare, branch,
+// and delay slot — is the same for every selection. Arming a small
+// interval on a per-access event makes the translated engine end its
+// stretch at the chosen positions.
+func exitProg(sites int) func(b *asm.Builder) {
+	load := func(site int, rd, base isa.Reg) isa.Instr {
+		if sites&site == 0 {
+			return isa.Instr{Op: isa.Nop}
+		}
+		return isa.Instr{Op: isa.LdX, Rd: rd, Rs1: base, UseImm: true, Imm: 0}
+	}
+	fill := func(b *asm.Builder, n int, r isa.Reg) {
+		for i := 0; i < n; i++ {
+			b.Emit(isa.Instr{Op: isa.Add, Rd: r, Rs1: r, UseImm: true, Imm: 1})
+		}
+	}
+	return func(b *asm.Builder) {
+		// %l0..%l5 = the four region bases, %l1 = offset, %l2 = limit.
+		b.Emit(isa.Instr{Op: isa.SetHi, Rd: isa.O0, UseImm: true, Imm: (1 << 19) >> isa.SetHiShift})
+		b.Emit(isa.Instr{Op: isa.Syscall, UseImm: true, Imm: SysMalloc})
+		b.Emit(isa.Instr{Op: isa.Or, Rd: isa.L0, Rs1: isa.O0, Rs2: isa.G0})
+		b.Emit(isa.Instr{Op: isa.SetHi, Rd: isa.L2, UseImm: true, Imm: (1 << 17) >> isa.SetHiShift})
+		b.Emit(isa.Instr{Op: isa.Add, Rd: isa.L3, Rs1: isa.L0, Rs2: isa.L2})
+		b.Emit(isa.Instr{Op: isa.Add, Rd: isa.L4, Rs1: isa.L3, Rs2: isa.L2})
+		b.Emit(isa.Instr{Op: isa.Add, Rd: isa.L5, Rs1: isa.L4, Rs2: isa.L2})
+		b.Emit(movImm(isa.L1, 0))
+
+		b.Label("loop")
+		b.Emit(isa.Instr{Op: isa.Add, Rd: isa.O1, Rs1: isa.L0, Rs2: isa.L1})
+		b.Emit(load(siteMid, isa.O2, isa.O1))
+		b.Emit(isa.Instr{Op: isa.Add, Rd: isa.O3, Rs1: isa.L3, Rs2: isa.L1})
+		b.Emit(isa.Instr{Op: isa.Add, Rd: isa.O4, Rs1: isa.L4, Rs2: isa.L1})
+		b.Emit(isa.Instr{Op: isa.Add, Rd: isa.O5, Rs1: isa.L5, Rs2: isa.L1})
+		fill(b, transMaxBlockInstrs-10, isa.G1)
+		b.Emit(load(siteNops, isa.G2, isa.O3))
+		for i := 0; i < 4; i++ {
+			b.Emit(isa.Instr{Op: isa.Nop})
+		}
+		fill(b, transMaxBlockInstrs-1, isa.G3)
+		b.Emit(load(siteLast, isa.G4, isa.O4))
+		b.Emit(isa.Instr{Op: isa.Add, Rd: isa.L1, Rs1: isa.L1, UseImm: true, Imm: 72})
+		b.Emit(isa.Instr{Op: isa.Cmp, Rs1: isa.L1, Rs2: isa.L2})
+		b.EmitBranch(isa.Bl, "loop")
+		b.Emit(load(siteDelay, isa.I0, isa.O5))
+		b.Emit(isa.Instr{Op: isa.Halt})
+	}
+}
+
 // TestFastPathEquivalence runs the same armed workloads on the fast path
 // (Run, and RunFor in slices) and the reference stepper, and requires
 // every observable output — delivered events with their skid draws,
@@ -175,58 +275,91 @@ func TestFastPathEquivalence(t *testing.T) {
 		name string
 		cfg  func() Config
 		arm  armFn
+		prog func(b *asm.Builder) // nil: equivProg
 	}{
-		{"unarmed", DefaultConfig, nil},
+		{"unarmed", DefaultConfig, nil, nil},
 		{"instrs", DefaultConfig, func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvInstrs, 997)
-		}},
+		}, nil},
 		{"cycles", DefaultConfig, func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvCycles, 4999)
-		}},
+		}, nil},
 		{"cycles+instrs", DefaultConfig, func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvCycles, 9001)
 			mustArm(t, m, 1, hwc.EvInstrs, 1009)
-		}},
+		}, nil},
 		{"mem", DefaultConfig, func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvECRef, 211)
 			mustArm(t, m, 1, hwc.EvDTLBMiss, 13)
-		}},
+		}, nil},
 		{"ecstall+dcrm", DefaultConfig, func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvECStall, 503)
 			mustArm(t, m, 1, hwc.EvDCRdMiss, 101)
-		}},
-		// Tiny intervals keep Remaining() within a block's worst-case
-		// event bound, forcing the translated engine's block-entry budget
-		// refusals (and the re-armed batches behind them) near-constantly.
+		}, nil},
+		// Tiny intervals make most memory accesses overflow a counter, so
+		// translated stretches end mid-block after nearly every miss and
+		// the reference stepper runs skid window after skid window.
 		{"mem-tight", DefaultConfig, func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvDCRdMiss, 3)
 			mustArm(t, m, 1, hwc.EvECRdMiss, 5)
-		}},
+		}, nil},
+		// Overflow exits at each position a translated block can end on
+		// an access. Mid-block the stretch resumes sequentially; in a
+		// delay slot it resumes at the branch successor; ahead of trailing
+		// nops it must not retire the nops (they emit no ops, so a block's
+		// last op is not its last instruction).
+		{"exit-mid-block", DefaultConfig, func(m *Machine) {
+			mustArm(t, m, 0, hwc.EvDCRdMiss, 3)
+			mustArm(t, m, 1, hwc.EvECRdMiss, 2)
+		}, exitProg(siteMid)},
+		{"exit-delay-slot", DefaultConfig, func(m *Machine) {
+			mustArm(t, m, 0, hwc.EvECRef, 3)
+			mustArm(t, m, 1, hwc.EvDTLBMiss, 2)
+		}, exitProg(siteDelay)},
+		{"exit-goto-nops", DefaultConfig, func(m *Machine) {
+			mustArm(t, m, 0, hwc.EvDCRdMiss, 3)
+		}, exitProg(siteNops | siteLast)},
+		// Every load here is a D$ read miss and an E$ reference, so the two
+		// counters advance in lockstep and overflow on the same access.
+		{"exit-two-pics", DefaultConfig, func(m *Machine) {
+			mustArm(t, m, 0, hwc.EvDCRdMiss, 5)
+			mustArm(t, m, 1, hwc.EvECRef, 5)
+		}, exitProg(siteMid | siteNops | siteLast | siteDelay)},
+		// An interval below the smallest stall (E$ hit, 14 cycles): one Add
+		// fires several overflows, each with its own skid draw.
+		{"exit-ecstall-multi", DefaultConfig, func(m *Machine) {
+			mustArm(t, m, 0, hwc.EvECStall, 11)
+			mustArm(t, m, 1, hwc.EvDTLBMiss, 7)
+		}, exitProg(siteMid | siteNops | siteLast | siteDelay)},
 		{"icm+dtlb-tight", DefaultConfig, func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvICMiss, 2)
 			mustArm(t, m, 1, hwc.EvDTLBMiss, 3)
-		}},
+		}, nil},
 		{"clock", func() Config {
 			return DefaultConfig()
 		}, func(m *Machine) {
 			m.ClockTickCycles = 1013
 			mustArm(t, m, 0, hwc.EvCycles, 7001)
-		}},
+		}, nil},
 		{"budget", func() Config {
 			cfg := DefaultConfig()
 			cfg.MaxInstrs = 5000
 			return cfg
 		}, func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvInstrs, 997)
-		}},
+		}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := driveMachine(t, tc.cfg(), equivProg, tc.arm, stepLoop)
-			fast := driveMachine(t, tc.cfg(), equivProg, withBackend(BackendFast, 0, tc.arm), (*Machine).Run)
-			sliced := driveMachine(t, tc.cfg(), equivProg, withBackend(BackendFast, 0, tc.arm), runForLoop)
-			trans := driveMachine(t, tc.cfg(), equivProg, withBackend(BackendTranslated, 1, tc.arm), (*Machine).Run)
-			transSliced := driveMachine(t, tc.cfg(), equivProg, withBackend(BackendTranslated, 1, tc.arm), runForLoop)
+			prog := tc.prog
+			if prog == nil {
+				prog = equivProg
+			}
+			ref := driveMachine(t, tc.cfg(), prog, tc.arm, stepLoop)
+			fast := driveMachine(t, tc.cfg(), prog, withBackend(BackendFast, 0, tc.arm), (*Machine).Run)
+			sliced := driveMachine(t, tc.cfg(), prog, withBackend(BackendFast, 0, tc.arm), runForLoop)
+			trans := driveMachine(t, tc.cfg(), prog, withBackend(BackendTranslated, 1, tc.arm), (*Machine).Run)
+			transSliced := driveMachine(t, tc.cfg(), prog, withBackend(BackendTranslated, 1, tc.arm), runForLoop)
 			if ref.stats.Instrs < 10000 && tc.name != "budget" {
 				t.Fatalf("workload too small to be meaningful: %d instrs", ref.stats.Instrs)
 			}

@@ -95,9 +95,16 @@ func genFuzzProgram(data []byte) func(b *asm.Builder) {
 			case 16:
 				// Conditional branch to an arbitrary body slot (forward or
 				// backward). The instruction budget bounds runaway loops.
+				// From op 120 up the delay slot is a load from a region no
+				// other body op touches, so its first execution misses and
+				// can overflow a counter inside the delay slot.
 				bops := []isa.Op{isa.Be, isa.Bne, isa.Bl, isa.Bge, isa.Bgu, isa.Bleu}
 				b.EmitBranch(bops[int(op/20)%len(bops)], fmt.Sprintf("i%d", int(sel)%nbody))
-				b.Emit(isa.Instr{Op: isa.Add, Rd: rd, Rs1: rd, UseImm: true, Imm: 1}) // delay slot
+				if op >= 120 {
+					b.Emit(isa.Instr{Op: isa.LdX, Rd: rd, Rs1: isa.L0, UseImm: true, Imm: 1<<12 + int32(sel)*32})
+				} else {
+					b.Emit(isa.Instr{Op: isa.Add, Rd: rd, Rs1: rd, UseImm: true, Imm: 1})
+				}
 			case 17:
 				b.EmitCall("sub")
 				b.Emit(isa.Instr{Op: isa.Nop}) // delay slot
@@ -121,7 +128,7 @@ func genFuzzProgram(data []byte) func(b *asm.Builder) {
 // genFuzzArm derives an arming configuration from the first bytes of the
 // input: zero to two counters with small intervals, and sometimes the
 // profiling clock, so the fuzzer crosses event-horizon recomputation,
-// overflow delivery, and translated-block budget bailouts.
+// overflow delivery, and translated-block overflow exits.
 func genFuzzArm(t *testing.T, data []byte) func(m *Machine) {
 	pick := func(i int) byte {
 		if i < len(data) {
@@ -147,6 +154,22 @@ func genFuzzArm(t *testing.T, data []byte) func(m *Machine) {
 	}
 }
 
+// exitSeed assembles a fuzz input from four arming bytes (which double as
+// the first two body slots), enough nop slots to carry the body past the
+// interpreter's post-syscall chunk, and the body bytes.
+func exitSeed(arm []byte, body ...byte) []byte {
+	return append(append(append([]byte(nil), arm...), exitNops(transWarmChunk)...), body...)
+}
+
+// exitNops returns n nop body slots.
+func exitNops(n int) []byte {
+	b := make([]byte, 0, 2*n)
+	for i := 0; i < n; i++ {
+		b = append(b, 19, 0)
+	}
+	return b
+}
+
 // FuzzBackendDifferential feeds random small programs under randomized
 // arming to the reference stepper, the event-horizon interpreter, and
 // the translated backend (threshold forced to 1 so every block
@@ -161,8 +184,8 @@ func FuzzBackendDifferential(f *testing.F) {
 	f.Add([]byte{203, 31, 16, 0, 14, 99, 16, 90, 11, 48, 9, 16, 3, 3})
 	// Armed-memory corpus: the first four bytes select memory-event PICs
 	// (D$/E$/TLB/I$ read misses and stalls) at the smallest intervals, so
-	// the translated engine runs against block-entry budget refusals from
-	// the first block, over bodies dense with loads, stores, and calls.
+	// translated stretches end on overflowing accesses from the first
+	// block on, over bodies dense with loads, stores, and calls.
 	f.Add([]byte{3, 5, 0, 0, 14, 0, 15, 8, 14, 16, 17, 0, 14, 32, 15, 40, 16, 1})
 	f.Add([]byte{8, 7, 0, 1, 16, 3, 14, 0, 9, 12, 17, 0, 14, 8, 3, 200, 16, 90})
 	f.Add([]byte{4, 6, 1, 0, 14, 0, 14, 64, 15, 128, 14, 8, 16, 250, 11, 48, 15, 0})
@@ -179,6 +202,29 @@ func FuzzBackendDifferential(f *testing.F) {
 		seed[i] = byte(i*37 + 11)
 	}
 	f.Add(seed)
+	// Overflow-exit corpus, one seed per position a translated block can
+	// end on an access (see exitProg in fastpath_test.go). Each pads past
+	// the body slots the interpreter runs before translation starts, then
+	// loads a fresh D$ line per access (selectors avoid 0 and 8 mod 16:
+	// misaligned, or a load into the %l0 base).
+	f.Add(exitSeed([]byte{13, 3, 0, 1}, // ecref/3 + dcrm/4: mid-block loads
+		9, 4, 0, 18, 9, 12, 0, 18, 9, 20, 0, 18, 9, 28, 0, 18, 9, 36, 0, 18, 9, 44, 0, 18, 9, 52, 0, 18))
+	// Delay-slot loads under taken bne (no compare runs, so Z stays
+	// clear), each skipping one slot: body slots 66 -> 68 -> 70 -> 72 -> 74.
+	f.Add(exitSeed([]byte{13, 3, 0, 1}, // ecref/3 + dcrm/4
+		156, 68, 19, 0, 156, 70, 19, 0, 156, 147, 19, 0, 156, 74, 19, 0, 17, 0))
+	// ecstall/3 with the profiling clock, whose first tick sets where
+	// translation starts (body slot 188): the loads at slots 249 and 313
+	// sit 61 slots into capped blocks, followed only by nops to the end.
+	trailing := exitNops(119)
+	for _, sel := range []byte{4, 12, 20} {
+		trailing = append(append(trailing, 9, sel), exitNops(transMaxBlockInstrs-1)...)
+	}
+	f.Add(exitSeed([]byte{6, 0, 0, 0}, trailing...))
+	f.Add(exitSeed([]byte{13, 3, 2, 2}, // ecref/5 + dcrm/5: same-access overflows
+		9, 4, 9, 12, 9, 20, 9, 28, 9, 36, 9, 44, 9, 52, 9, 60, 9, 68, 9, 76, 9, 84))
+	f.Add(exitSeed([]byte{6, 7, 8, 4}, // ecstall/11 + dtlbm/7: several overflows per Add
+		9, 4, 11, 12, 9, 20, 13, 28, 136, 36, 9, 44, 11, 52, 9, 60))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			t.Skip("program cap")

@@ -121,13 +121,6 @@ type Machine struct {
 	// currently counting ev. The hot-path count() is a load and branch on
 	// it; events nobody is counting cost nothing.
 	armed [hwc.NumEvents]uint8
-	// evBatch, while a budgeted translated batch runs, routes armed-event
-	// counts into evDelta instead of the live counters; evFlush feeds the
-	// deltas to the counters at the batch boundary. The batch budget
-	// guarantees no delta can reach an overflow threshold, so the deferred
-	// Adds never fire and exact trigger attribution is never needed.
-	evBatch bool
-	evDelta [hwc.NumEvents]uint64
 
 	// backend selects the execution engine behind Run/RunFor; the zero
 	// value is BackendTranslated. See translate.go.
@@ -297,9 +290,8 @@ func (m *Machine) ArmCounter(pic int, ev hwc.Event, interval uint64) error {
 
 // rebuildArmed recomputes the per-event armed-PIC bitmasks from the
 // counter registers. Any event combination runs on any backend: the
-// translated engine counts memory, I$, and TLB events inline under the
-// armed-event budget (see the horizon in runBatch and the eligibility
-// invariant in translate.go).
+// translated engine counts memory, I$, and TLB events inline (see the
+// horizon in runBatch and the exact-events invariant in translate.go).
 func (m *Machine) rebuildArmed() {
 	m.armed = [hwc.NumEvents]uint8{}
 	for pic, c := range m.counters {

@@ -18,26 +18,22 @@ import (
 // cycle/instruction accounting and a single EvInstrs/EvCycles flush at
 // the end of each translated stretch.
 //
-// Safety rests on three invariants, checked before any translated code
-// runs (see DESIGN.md §11):
+// Safety rests on three invariants (see DESIGN.md §11-12):
 //
-//  1. Eligibility. Every counter event is covered at the batch boundary:
-//     EvInstrs/EvCycles by the stretch flush, and armed memory, I$, and
-//     TLB events by inline count() calls on the probe and miss paths
-//     (routed into the machine's per-batch event deltas). The armed-event
-//     budget in runBatch shrinks the horizon so no armed counter can
-//     overflow anywhere inside the batch, which is what lets a deferred
-//     delta stand in for exact per-event Adds: an Add that cannot
-//     overflow needs no trigger attribution and draws no skid.
+//  1. Exact events. Per-access events — D$/E$ misses, E$ references and
+//     stall cycles, DTLB misses — count through the same count() calls,
+//     with the same trigger PC and address and in the same order, as on
+//     the reference path, so every overflow and its skid draw happen
+//     exactly as there. After any access that leaves a signal pending,
+//     the stretch ends at the next instruction boundary (mid-block if
+//     need be), where runBatch steps the skid window on the reference
+//     path. Blocks themselves never deliver events.
 //  2. Horizon. A block is entered only when the remaining horizon covers
-//     its worst-case footprint — instructions (ninstr), cycles (wc), and
-//     memory accesses (nmem) — so the boundary flush can never overflow
-//     a counter mid-stretch and no clock tick is due inside a block. The
-//     armed-event budget binds each event class at its tightest sound
-//     bound: I$ misses at one per instruction (maxN), the per-access
-//     events — D$/E$ misses, E$ references, DTLB misses — at one per
-//     memory access (maxMem), and E$ stall cycles by the cycle horizon
-//     itself (stall cycles are a subset of elapsed cycles).
+//     its worst-case footprint — instructions (ninstr) and cycles (wc) —
+//     so the stretch-end EvInstrs/EvCycles flush can never overflow a
+//     counter and no clock tick is due inside a block. I$ misses, whose
+//     probes ride on ALU ops with no exit point, are bounded by the
+//     instruction horizon at one per instruction.
 //  3. Trap-free bodies. Any instruction that could trap (divide by zero,
 //     misalignment, segmentation) evaluates its trap predicate first and
 //     bails out *before* architectural effects; the interpreter then
@@ -88,28 +84,32 @@ const (
 	// transColdChunk bounds one interpreter chunk while translation is
 	// still cold, so block-entry heat accumulates at chunk granularity.
 	transColdChunk = 4096
-	// transWarmChunk bounds the interpreter chunk right after a translated
-	// stretch: its only job is to carry execution across an untranslatable
-	// instruction (a syscall, a trap retry) and return to translated code.
+	// transWarmChunk bounds the interpreter chunk in hot code — right after
+	// a translated stretch, or at a mid-delay-slot state a skid window left
+	// behind: its only job is to carry execution across an untranslatable
+	// instruction or entry state and return to translated code.
 	transWarmChunk = 64
 )
 
 // tstate is the live state of one translated stretch. cycles accumulates
 // only *dynamic* cost (fetch, TLB, and cache stalls); each block's static
-// base-cost sum is added when the block completes, or the bailing
-// instruction's static prefix on a bail, so a partial block charges
-// exactly the cycles the reference interpreter would have.
+// base-cost sum is added when the block completes, or the static cost of
+// the instructions retired before the block ended early (a bail or an
+// overflow exit), so a partial block charges exactly the cycles the
+// reference interpreter would have.
 type tstate struct {
 	cycles    uint64
 	n         uint64
-	mem       uint64 // memory accesses retired (charged per block, see exec)
 	loads     uint64 // retired loads, batched into m.stats at stretch end
 	stores    uint64 // retired stores, likewise
 	fetchLine uint64
 	// target is the CTI successor for the in-flight block: the taken
 	// target, or the fall-through PC of a not-taken branch. The delay
 	// slot's bail NPC and the block's successor both read it.
-	target  uint64
+	target uint64
+	// bailPC/bailNPC are the resume point of a block that ended early:
+	// the bailing instruction, or the instruction after an overflowing
+	// access.
 	bailPC  uint64
 	bailNPC uint64
 	bailed  bool
@@ -280,7 +280,6 @@ type tblock struct {
 	entry  uint64
 	code   []tinstr
 	ninstr uint64
-	nmem   uint64 // memory-access instructions (loads, stores, prefetches)
 	nload  uint64 // load instructions, for the batched Loads statistic
 	nstore uint64 // store instructions, for the batched Stores statistic
 	static uint64 // sum of base pipeline costs
@@ -344,59 +343,48 @@ func (m *Machine) heatThreshold() uint32 {
 
 // runMixed fills one event horizon with translated stretches interleaved
 // with bounded interpreter chunks. Bounds and fallback semantics are
-// exactly runBatch's: maxN caps retired instructions, maxMem caps
-// retired memory accesses (the budget unit of the armed per-access
-// events), stop caps m.stats.Cycles, and anything the translator
-// declines — cold code, syscalls, trap retries, delay-slot entry states
-// — runs on runInner. Interpreter chunks charge the memory budget one
-// access per instruction — the interpreter does not pre-count its
-// instruction mix, and an instruction performs at most one access — so
-// the cap holds across both engines.
+// exactly runBatch's: maxN caps retired instructions, stop caps
+// m.stats.Cycles, and anything the translator declines — cold code,
+// syscalls, trap retries, delay-slot entry states — runs on runInner.
+// Both engines stop at the instruction boundary after an access that
+// leaves an overflow signal pending; the caller steps the skid window.
 //
-// A stretch that made progress and then hit a budget refusal ends the
-// batch instead of draining the budget tail interpreted: the caller
-// re-arms the horizons from the counters' actual event counts, which
-// sheds both the worst-case cycle pessimism of the refused block and
-// the one-access-per-instruction pessimism of interpreter charging, and
-// the next batch resumes translated at full speed. The interpreter runs
-// only when the translator made no progress at all (an obstacle or a
-// genuinely exhausted horizon), where it is the sole way forward.
-func (m *Machine) runMixed(maxN, maxMem, stop uint64, breakOnSyscall bool) (uint64, error) {
-	var total, mem uint64
-	for total < maxN && mem < maxMem && !m.halted && len(m.pending) == 0 {
-		k, km, refused := m.runTranslated(maxN-total, maxMem-mem, stop)
+// A stretch that made progress and then hit a horizon refusal ends the
+// batch instead of draining the horizon tail interpreted: the caller
+// re-arms the horizons from the counters' actual counts, which sheds the
+// worst-case cycle pessimism of the refused block, and the next batch
+// resumes translated at full speed. The interpreter runs only when the
+// translator made no progress at all (an obstacle or a genuinely
+// exhausted horizon), where it is the sole way forward.
+func (m *Machine) runMixed(maxN, stop uint64, breakOnSyscall bool) (uint64, error) {
+	var total uint64
+	for total < maxN && !m.halted && len(m.pending) == 0 {
+		k, refused := m.runTranslated(maxN-total, stop)
 		total += k
-		mem += km
-		// Translated stretches cannot halt, syscall, or append pending
-		// events, so only the budgets and the interpreter below decide
-		// the loop.
-		if refused && k > 0 {
-			break // batch ends here; the caller re-arms tighter horizons
+		if len(m.pending) > 0 || (refused && k > 0) {
+			break // batch ends here; the caller steps or re-arms
 		}
+		// Hot code gets the short chunk: after a stretch, or when the
+		// translator declined only because skid steps left the machine
+		// mid-delay-slot (NPC != PC+4), the chunk's job is just to carry
+		// execution back to a translatable entry. The long chunk is for
+		// cold code, where block-entry heat accumulates at its granularity.
 		chunk := uint64(transColdChunk)
-		if k > 0 {
+		if k > 0 || m.NPC != m.PC+isa.InstrBytes {
 			chunk = transWarmChunk
 		}
 		if rem := maxN - total; chunk > rem {
 			chunk = rem
 		}
-		if rem := maxMem - mem; chunk > rem {
-			chunk = rem
-		}
 		n, err := m.runInner(chunk, stop, breakOnSyscall)
 		total += n
-		mem += n
 		if err != nil {
 			return total, err
 		}
 		if n == 0 {
 			// Immediate give-way with total == 0 (syscall under a
-			// cycle-counter horizon) is handled by the caller, which must
-			// flush the batch's event deltas before stepping the reference
-			// path.
-			break
-		}
-		if m.halted || len(m.pending) > 0 {
+			// cycle-counter horizon) is handled by the caller, which steps
+			// the reference path.
 			break
 		}
 	}
@@ -405,17 +393,17 @@ func (m *Machine) runMixed(maxN, maxMem, stop uint64, breakOnSyscall bool) (uint
 
 // runTranslated executes translated superblocks from the current PC until
 // the horizon cannot cover the next block's worst-case footprint, control
-// reaches untranslated (or untranslatable) code, or a block bails out for
-// a trap retry. It returns how many instructions retired, the memory
-// accesses charged against the per-access event budget, and whether the
-// stretch ended on a budget refusal (so the caller can re-arm rather
-// than interpret), and leaves PC/NPC, stats, and the fetch line exactly
-// as runInner would after the same instructions.
-func (m *Machine) runTranslated(maxN, maxMem, stop uint64) (uint64, uint64, bool) {
+// reaches untranslated (or untranslatable) code, a block bails out for a
+// trap retry, or an access leaves an overflow signal pending. It returns
+// how many instructions retired and whether the stretch ended on a
+// horizon refusal (so the caller can re-arm rather than interpret), and
+// leaves PC/NPC, stats, and the fetch line exactly as runInner would
+// after the same instructions.
+func (m *Machine) runTranslated(maxN, stop uint64) (uint64, bool) {
 	if m.NPC != m.PC+isa.InstrBytes {
 		// Mid-delay-slot entry state: only the interpreter tracks a split
 		// PC/NPC pair.
-		return 0, 0, false
+		return 0, false
 	}
 	t := m.ensureTrans()
 	st := &t.st
@@ -466,18 +454,12 @@ func (m *Machine) runTranslated(maxN, maxMem, stop uint64) (uint64, uint64, bool
 				}
 			}
 		}
-		if st.n+blk.ninstr > maxN || st.mem+blk.nmem > maxMem ||
-			baseCycles+st.cycles+blk.wc > stop {
+		if st.n+blk.ninstr > maxN || baseCycles+st.cycles+blk.wc > stop {
 			refused = true
 			break // worst-case footprint does not fit the horizon
 		}
-		ok := blk.exec(m, st)
-		// Charge the block's full access count even on a bail: the executed
-		// prefix performed at most nmem accesses, and the budget only needs
-		// an upper bound.
-		st.mem += blk.nmem
-		if !ok {
-			break // bailed: st.bailPC/bailNPC hold the resume point
+		if !blk.exec(m, st) {
+			break // ended early: st.bailPC/bailNPC hold the resume point
 		}
 		if blk.kind == tEndCTI {
 			pc = st.target
@@ -503,15 +485,17 @@ func (m *Machine) runTranslated(maxN, maxMem, stop uint64) (uint64, uint64, bool
 		m.count(hwc.EvInstrs, st.n, m.PC, 0, false)
 		m.count(hwc.EvCycles, st.cycles, m.PC, 0, false)
 	}
-	return st.n, st.mem, refused
+	return st.n, refused
 }
 
 // exec is the threaded-code dispatch loop: one switch per pre-resolved
-// op, no per-instruction horizon, pending, or bounds checks (the caller
-// proved the whole block fits), no per-instruction cycle accounting for
-// ALU ops (base costs are in the static sum). On a bail the completed
-// instruction count recovers from the bail PC (ops are emitted in PC
-// order); on completion the static sum is charged in one add.
+// op, no per-instruction horizon or bounds checks (the caller proved the
+// whole block fits), no per-instruction cycle accounting for ALU ops
+// (base costs are in the static sum), and a pending check only after
+// memory ops, the sole raisers of overflowing events. On an early end the
+// retired prefix's counts recover from the PC (ops are emitted in PC
+// order); on completion the static sum is charged in one add. exec
+// reports whether the block completed.
 func (b *tblock) exec(m *Machine, st *tstate) bool {
 	code := b.code
 	for i := 0; i < len(code); i++ {
@@ -742,12 +726,19 @@ func (b *tblock) exec(m *Machine, st *tstate) bool {
 			st.target = target
 		case tDivRem:
 			if !m.execDivRem(t, st) {
-				b.bailStats(m, st)
+				b.bailStats(m, st, t.pc)
 				return false
 			}
 		case tMem:
 			if !m.execMem(t, st) {
-				b.bailStats(m, st)
+				b.bailStats(m, st, t.pc)
+				return false
+			}
+			if len(m.pending) > 0 {
+				// The access overflowed a counter: end the stretch at the
+				// next instruction boundary, where runBatch steps the skid
+				// window on the reference path.
+				b.exitAfter(m, st, t)
 				return false
 			}
 		case tProbeFirst:
@@ -771,15 +762,36 @@ func (b *tblock) exec(m *Machine, st *tstate) bool {
 	return true
 }
 
-// bailStats charges the statistics of a bailing block's completed prefix:
-// the instruction count recovers from the bail PC (ops are emitted in PC
-// order), and the load/store counts recount from the predecoded text —
-// bails are trap retries and syscall handoffs, far off the hot path, so
-// the rare rescan is cheaper than per-access increments in execMem. The
-// bailing instruction itself is excluded: the interpreter re-executes it
-// and performs its accounting on the reference path.
-func (b *tblock) bailStats(m *Machine, st *tstate) {
-	k := (st.bailPC - b.entry) / isa.InstrBytes
+// exitAfter ends the block right after the memory op t retired with an
+// overflow signal pending. Execution resumes at the instruction the
+// reference path runs next — the in-flight CTI successor when t is a
+// delay slot, else t's sequential successor — and the block charges its
+// instructions through t: t's static prefix plus t's own base cost. The
+// stretch must end at every such access wherever it sits in the block
+// (mid-block, a delay slot, the last instruction, or ahead of trailing
+// nops that emit no ops), because the skid window that follows belongs to
+// the reference stepper.
+func (b *tblock) exitAfter(m *Machine, st *tstate, t *tinstr) {
+	next := t.pc + isa.InstrBytes
+	if t.op2&opDelay != 0 {
+		next = st.target
+	}
+	st.bailed = true
+	st.bailPC, st.bailNPC = next, next+isa.InstrBytes
+	st.cycles += t.prefix&sitePrefixMask + uint64(m.dec[(t.pc-TextBase)/isa.InstrBytes].Cost)
+	b.bailStats(m, st, t.pc+isa.InstrBytes)
+}
+
+// bailStats charges the statistics of an early-ending block's retired
+// prefix, the instructions before end: the instruction count recovers
+// from end (ops are emitted in PC order), and the load/store counts
+// recount from the predecoded text — early ends are trap retries, syscall
+// handoffs, and overflows, far off the hot path, so the rare rescan is
+// cheaper than per-access increments in execMem. A bailing instruction
+// itself is excluded (end is its PC): the interpreter re-executes it and
+// performs its accounting on the reference path.
+func (b *tblock) bailStats(m *Machine, st *tstate, end uint64) {
+	k := (end - b.entry) / isa.InstrBytes
 	st.n += k
 	idx := (b.entry - TextBase) / isa.InstrBytes
 	for i := idx; i < idx+k; i++ {
@@ -877,9 +889,9 @@ func (m *Machine) execDivRem(t *tinstr, st *tstate) bool {
 // the fetch probe folded in, the trap checks turned into bails, and the
 // cache hierarchy entered through the specialized stall paths below
 // instead of the Result-returning API. Armed events count through the
-// same count() calls as the reference path (the armed-event budget
-// routes them into the batch deltas); simulation state updates — DTLB,
-// D$/E$, statistics — are exactly the reference path's.
+// same count() calls, in the same order, as the reference path;
+// simulation state updates — DTLB, D$/E$, statistics — are exactly the
+// reference path's.
 func (m *Machine) execMem(t *tinstr, st *tstate) bool {
 	op2 := t.op2
 	var fs uint64
@@ -1192,7 +1204,6 @@ func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8, d
 			b.wc += uint64(m.Cfg.ICMissStall)
 		}
 		b.wc += stallMax
-		b.nmem++
 		switch {
 		case d.Class.IsLoad():
 			b.nload++
