@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/cc"
@@ -57,7 +60,9 @@ type Validation struct {
 // corresponding layout override applied, and once more with every
 // accepted override combined. A recommendation is accepted when the
 // transformed program produces identical output and does not regress
-// the advice metric.
+// the advice metric. The per-recommendation re-runs run concurrently on
+// up to GOMAXPROCS goroutines; the combined run starts once every
+// verdict is in.
 func Validate(ctx context.Context, target Target, adv *Advice, base *analyzer.Analyzer) (*Validation, error) {
 	metric, err := hwc.ParseEvent(adv.Metric)
 	if err != nil {
@@ -71,15 +76,34 @@ func Validate(ctx context.Context, target Target, adv *Advice, base *analyzer.An
 	v := &Validation{Metric: metric}
 
 	for _, rec := range adv.Recs {
-		ov := rec.Override()
-		if ov == nil {
-			continue
+		if rec.Override() != nil {
+			v.Results = append(v.Results, RecResult{Rec: rec})
 		}
-		r := runOverride(ctx, target, baseExp, metric, before,
-			map[string]*cc.LayoutOverride{rec.Struct: ov}, rec.Kind+":"+rec.Struct)
-		r.Rec = rec
-		v.Results = append(v.Results, r)
 	}
+
+	// The re-runs are independent: workers pull result indices from a
+	// shared counter and each fills its own slot, so the results keep
+	// rank order whatever order they finish in.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(v.Results), runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(v.Results) {
+					return
+				}
+				rec := v.Results[i].Rec
+				r := runOverride(ctx, target, baseExp, metric, before,
+					map[string]*cc.LayoutOverride{rec.Struct: rec.Override()}, rec.Kind+":"+rec.Struct)
+				r.Rec = rec
+				v.Results[i] = r
+			}
+		}()
+	}
+	wg.Wait()
 
 	combined := make(map[string]*cc.LayoutOverride)
 	for i := range v.Results {

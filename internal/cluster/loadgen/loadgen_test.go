@@ -23,9 +23,11 @@ func envInt(t *testing.T, key string, def int) int {
 
 // TestClusterSoak runs the full load harness — a 3-node cluster, a job
 // batch, and at least a thousand concurrent report queries — and
-// writes the outcome to BENCH_cluster.json at the repo root (the CI
-// cluster-soak job uploads it). Size with DSPROF_CLUSTER_QUERIES,
-// DSPROF_CLUSTER_JOBS, DSPROF_CLUSTER_TRIPS, DSPROF_CLUSTER_CONC.
+// writes the outcome as JSON to the path in DSPROF_CLUSTER_BENCH (the
+// CI cluster-soak job points it at BENCH_cluster.json and uploads it),
+// or into the test's temporary directory when that is unset. Size with
+// DSPROF_CLUSTER_QUERIES, DSPROF_CLUSTER_JOBS, DSPROF_CLUSTER_TRIPS,
+// DSPROF_CLUSTER_CONC.
 func TestClusterSoak(t *testing.T) {
 	p := Params{
 		Workers:     3,
@@ -82,7 +84,7 @@ func TestClusterSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("..", "..", "..", "BENCH_cluster.json")
+	path := filepath.Join(t.TempDir(), "BENCH_cluster.json")
 	if p := os.Getenv("DSPROF_CLUSTER_BENCH"); p != "" {
 		path = p
 	}

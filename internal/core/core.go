@@ -95,7 +95,8 @@ func Analyze(exps ...*experiment.Experiment) (*analyzer.Analyzer, error) {
 // ProfilePaperStyle performs the paper's full two-experiment collection
 // (§3.1): experiment A with clock profiling plus E$ stall cycles and E$
 // read misses, experiment B with E$ references and DTLB misses, all with
-// apropos backtracking — then merges them in one analyzer.
+// apropos backtracking — then merges them in one analyzer. The two
+// collects run concurrently; when both fail, A's error is reported.
 //
 // The overflow intervals are chosen from the run length budget: pass the
 // expected total cycles (0 picks conservative defaults).
@@ -105,6 +106,13 @@ func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, in
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	var resB *collect.Result
+	var errB error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resB, errB = CollectRun(prog, input, cfg, false, fmt.Sprintf("+ecref,%d,+dtlbm,%d", iv.ECRef, iv.DTLBMiss))
+	}()
 	resA, err := collect.Run(prog, collect.Options{
 		ClockProfile:        true,
 		ClockIntervalCycles: iv.ClockTick,
@@ -112,13 +120,12 @@ func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, in
 		Machine:             cfg,
 		Input:               input,
 	})
+	<-done
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiment A: %w", err)
 	}
-	specB := fmt.Sprintf("+ecref,%d,+dtlbm,%d", iv.ECRef, iv.DTLBMiss)
-	resB, err := CollectRun(prog, input, cfg, false, specB)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiment B: %w", err)
+	if errB != nil {
+		return nil, nil, nil, fmt.Errorf("experiment B: %w", errB)
 	}
 	a, err := Analyze(resA.Exp, resB.Exp)
 	if err != nil {

@@ -235,12 +235,18 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	specA.Counters = countersA
 	specB.Counters = countersB
 
-	var ids []string
+	// Submit both before waiting on either, so the scheduler's worker
+	// pool can run them together.
+	var jobs []*Job
 	for _, s := range []JobSpec{specA, specB} {
 		job, err := ad.sched.Submit(s)
 		if err != nil {
 			return fmt.Errorf("profd: submitting baseline: %w", err)
 		}
+		jobs = append(jobs, job)
+	}
+	var ids []string
+	for _, job := range jobs {
 		st, err := job.Wait(ctx)
 		if err != nil {
 			return fmt.Errorf("profd: baseline run: %w", err)
