@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -233,5 +234,61 @@ func TestAdvisePoolGating(t *testing.T) {
 		if shares < 0.999 || shares > 1.001 {
 			t.Errorf("%s: site shares sum to %v, want 1", tc.name, shares)
 		}
+	}
+}
+
+// TestConcurrentAdviceRenders renders "advice" and "pool-advice" from 8
+// goroutines over one fresh analyzer, the way profd serves its cached
+// analyzers: the memoized affinity matrices are built under contention
+// and shared read-only, and every render must equal the serial bytes.
+// Run under -race it also checks the memo for data races.
+func TestConcurrentAdviceRenders(t *testing.T) {
+	exps := poolAnalyzer(t).Exps
+	render := func(a *analyzer.Analyzer, report string) ([]byte, error) {
+		var buf bytes.Buffer
+		err := a.Render(&buf, report, analyzer.RenderOpts{})
+		return buf.Bytes(), err
+	}
+	reports := []string{"advice", "pool-advice"}
+	serialA, err := analyzer.New(exps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, r := range reports {
+		if want[r], err = render(serialA, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Contains(want["advice"], []byte("struct node")) {
+		t.Fatalf("advice has no struct recommendation to share an affinity matrix:\n%s", want["advice"])
+	}
+
+	shared, err := analyzer.New(exps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*len(reports))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range reports {
+				r := reports[(g+i)%len(reports)]
+				got, err := render(shared, r)
+				switch {
+				case err != nil:
+					errs <- err
+				case !bytes.Equal(got, want[r]):
+					errs <- fmt.Errorf("goroutine %d: %s differs from the serial render", g, r)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -8,8 +8,10 @@ package analyzer
 // and which members of a struct are touched together.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"dsprof/internal/dwarf"
 )
@@ -70,12 +72,18 @@ func (am *AffinityMatrix) Pair(i, j int) uint64 {
 	return am.Counts[i][j]
 }
 
-// MemberAffinity builds the co-access affinity matrix for the struct
+// MemberAffinity returns the co-access affinity matrix for the struct
 // type over every EA-carrying event, using a sliding window of the last
 // `window` such events (default 16 when window <= 0). Events from all
 // merged experiments are ordered by machine cycle time: the simulated
 // runs are deterministic, so the timelines of the paper's experiment A
 // and B line up and windows interleave both counter streams.
+//
+// The analyzer's aggregates never change once it is built, so the
+// matrix is computed once per (type, window) and memoized: every caller
+// — the "advice" and "pool-advice" reports, concurrent renders over one
+// cached analyzer — shares the same *AffinityMatrix. It is read-only;
+// callers must not modify Counts.
 func (a *Analyzer) MemberAffinity(t dwarf.TypeID, window int) (*AffinityMatrix, error) {
 	ty := a.Tab.TypeByID(t)
 	if ty == nil || ty.Kind != dwarf.KindStruct {
@@ -84,6 +92,35 @@ func (a *Analyzer) MemberAffinity(t dwarf.TypeID, window int) (*AffinityMatrix, 
 	if window <= 0 {
 		window = 16
 	}
+	key := affinityKey{t, window}
+	a.affMu.Lock()
+	memo := a.aff[key]
+	if memo == nil {
+		if a.aff == nil {
+			a.aff = make(map[affinityKey]*affinityMemo)
+		}
+		memo = &affinityMemo{}
+		a.aff[key] = memo
+	}
+	a.affMu.Unlock()
+	memo.once.Do(func() { memo.am = a.memberAffinity(ty, t, window) })
+	return memo.am, nil
+}
+
+// affinityKey identifies one memoized affinity matrix.
+type affinityKey struct {
+	typ    dwarf.TypeID
+	window int
+}
+
+// affinityMemo computes its matrix exactly once, on first request.
+type affinityMemo struct {
+	once sync.Once
+	am   *AffinityMatrix
+}
+
+// memberAffinity builds the matrix for MemberAffinity.
+func (a *Analyzer) memberAffinity(ty *dwarf.Type, t dwarf.TypeID, window int) *AffinityMatrix {
 	n := len(ty.Members)
 	am := &AffinityMatrix{Type: t, Window: window, Counts: make([][]uint64, n)}
 	for i := range am.Counts {
@@ -102,9 +139,19 @@ func (a *Analyzer) MemberAffinity(t dwarf.TypeID, window int) (*AffinityMatrix, 
 		line = 512
 	}
 	allocs := a.Exps[0].Allocs
-	var evs []mev
-	for _, ae := range a.eaEvents {
-		if ae.Obj.Kind != OKStruct || ae.Obj.Type != t || ae.Member < 0 || int(ae.Member) >= n {
+	ours := func(ae *AEvent) bool {
+		return ae.Obj.Kind == OKStruct && ae.Obj.Type == t && ae.Member >= 0 && int(ae.Member) < n
+	}
+	count := 0
+	for i := range a.eaEvents {
+		if ours(&a.eaEvents[i]) {
+			count++
+		}
+	}
+	evs := make([]mev, 0, count)
+	for i := range a.eaEvents {
+		ae := &a.eaEvents[i]
+		if !ours(ae) {
 			continue
 		}
 		e := mev{cycles: ae.Cycles, member: ae.Member, line: ae.EA &^ (line - 1), inst: -1}
@@ -120,18 +167,17 @@ func (a *Analyzer) MemberAffinity(t dwarf.TypeID, window int) (*AffinityMatrix, 
 	// depend on which experiment is listed first. Breaking ties on the
 	// event's own fields makes the merged timeline — and therefore the
 	// matrix — independent of argument order.
-	sort.SliceStable(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.cycles != b.cycles {
-			return a.cycles < b.cycles
+	slices.SortStableFunc(evs, func(a, b mev) int {
+		if c := cmp.Compare(a.cycles, b.cycles); c != 0 {
+			return c
 		}
-		if a.member != b.member {
-			return a.member < b.member
+		if c := cmp.Compare(a.member, b.member); c != 0 {
+			return c
 		}
-		if a.line != b.line {
-			return a.line < b.line
+		if c := cmp.Compare(a.line, b.line); c != 0 {
+			return c
 		}
-		return a.inst < b.inst
+		return cmp.Compare(a.inst, b.inst)
 	})
 
 	for i, e := range evs {
@@ -156,5 +202,5 @@ func (a *Analyzer) MemberAffinity(t dwarf.TypeID, window int) (*AffinityMatrix, 
 			am.Counts[p.member][e.member] += w
 		}
 	}
-	return am, nil
+	return am
 }

@@ -13,6 +13,7 @@ package analyzer
 
 import (
 	"fmt"
+	"sync"
 
 	"dsprof/internal/asm"
 	"dsprof/internal/dwarf"
@@ -171,6 +172,11 @@ type Analyzer struct {
 	eaEvents     []AEvent                       // events carrying effective addresses
 	totalPerEv   [hwc.NumEvents]uint64          // overflow counts per event
 	unknownPerEv [hwc.NumEvents]map[ObjKind]uint64
+
+	// aff memoizes MemberAffinity per (type, window); affMu guards the
+	// map, and each entry computes its matrix once.
+	affMu sync.Mutex
+	aff   map[affinityKey]*affinityMemo
 }
 
 // New builds an analyzer over one or more experiments on the same

@@ -96,7 +96,7 @@ func (a *Analyzer) ReducePartial(r UnitRef) ([]byte, error) {
 	if err := a.checkRef(r); err != nil {
 		return nil, err
 	}
-	p := a.reduceUnit(a.unitFor(r, a.cfg), a.cfg.Cache)
+	p := a.reduceUnit(a.unitFor(r, a.cfg), a.cfg.Cache, nil)
 	if p.err != nil {
 		return nil, fmt.Errorf("analyzer: reducing unit %v: %w", r, p.err)
 	}
@@ -125,6 +125,7 @@ func (a *Analyzer) ReduceFromPartials(wires [][]byte) error {
 		a.totalLWP += float64(e.Meta.Stats.Cycles) / float64(a.ClockHz)
 		a.totalSys += float64(e.Meta.Stats.SyscallCycles) / float64(a.ClockHz)
 	}
+	parts := make([]*partial, len(wires))
 	for i, w := range wires {
 		p, err := decodePartial(w)
 		if err != nil {
@@ -143,14 +144,9 @@ func (a *Analyzer) ReduceFromPartials(wires [][]byte) error {
 					r, p.totalPerEv[ev], ev, want)
 			}
 		}
-		a.merge(p)
+		parts[i] = p
 	}
-	for _, m := range a.byPC {
-		a.total.Add(m)
-	}
-	for _, m := range a.byArtPC {
-		a.total.Add(m)
-	}
+	a.mergeAll(parts)
 	a.reduced = true
 	return nil
 }
@@ -204,12 +200,15 @@ type wireUnknown struct {
 }
 
 // wirePartial is the exported (gob-encodable) mirror of partial. The
-// ordered slices are carried verbatim; the map aggregates are flattened
+// ordered events are carried verbatim; the map aggregates are flattened
 // to key-sorted slices, which makes the encoding deterministic — two
 // nodes computing the same unit produce identical bytes.
 type wirePartial struct {
-	Version      int
-	Events       []AEvent
+	Version int
+	Events  []AEvent
+	// EAEvents is the effective-address subsequence of Events. The
+	// merge re-derives it from Events, so decoding ignores it; it stays
+	// in the format for compatibility.
 	EAEvents     []AEvent
 	ByPC         []wirePC
 	ByArtPC      []wirePC
@@ -263,7 +262,7 @@ func encodePartial(p *partial) ([]byte, error) {
 	w := wirePartial{
 		Version:    partialWireVersion,
 		Events:     p.events,
-		EAEvents:   p.eaEvents,
+		EAEvents:   eaOnly(p.events),
 		ByPC:       flattenPC(p.byPC),
 		ByArtPC:    flattenPC(p.byArtPC),
 		ByFunc:     flattenStr(p.byFunc),
@@ -334,7 +333,6 @@ func decodePartial(data []byte) (p *partial, err error) {
 	}
 	p = newPartial()
 	p.events = w.Events
-	p.eaEvents = w.EAEvents
 	for _, e := range w.ByPC {
 		m := e.M
 		p.byPC[e.PC] = &m

@@ -9,8 +9,9 @@ package analyzer
 // deterministic unit order, which makes every report byte-identical to
 // the single-worker reduction:
 //
-//   - the ordered outputs (Events, eaEvents) are concatenated in unit
-//     order, which is exactly the order the serial loop appends them;
+//   - the ordered output (Events) is concatenated in unit order, which
+//     is exactly the order the serial loop appends events, and the EA
+//     subsequence (eaEvents) is filtered from it;
 //   - the map-shaped aggregates add uint64 weights, and integer
 //     addition is commutative and associative;
 //   - the only floating-point sums (total LWP/system seconds) are
@@ -20,6 +21,7 @@ package analyzer
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,16 +74,19 @@ type unit struct {
 	expIdx int
 	pic    int
 	shard  int
+	events int    // attributed events the unit yields (its shard's count)
 	key    string // cache key; "" when the unit is not cacheable
 }
 
 // partial is one worker's private aggregate over a set of units'
 // events. Its fields mirror the Analyzer's aggregation state; merge
-// folds a partial into the analyzer without mutating it.
+// folds a partial into the analyzer without mutating it. A partial
+// built by a local reduction writes its events straight into their
+// final place in the analyzer's Events, so events may alias that slice;
+// both are immutable once the reduction finishes.
 type partial struct {
 	err          error
 	events       []AEvent
-	eaEvents     []AEvent
 	byPC         map[uint64]*Metrics
 	byArtPC      map[uint64]*Metrics
 	byFunc       map[string]*Metrics
@@ -93,6 +98,11 @@ type partial struct {
 	calleeOf     map[string]map[string]*Metrics
 	totalPerEv   [hwc.NumEvents]uint64
 	unknownPerEv [hwc.NumEvents]map[ObjKind]uint64
+
+	// seen is accumulate's scratch set of the functions already credited
+	// inclusive weight for the current event; reusing it keeps
+	// accumulation allocation-free once the aggregate keys exist.
+	seen []string
 }
 
 func newPartial() *partial {
@@ -137,7 +147,7 @@ func (p *partial) accumulate(a *Analyzer, pc uint64, artificial bool, m *Metrics
 
 	// Inclusive metrics and caller/callee edges.
 	bumpMap(p.byFuncIncl, fname, m)
-	seen := map[string]bool{fname: true}
+	p.seen = append(p.seen[:0], fname)
 	prev := fname
 	for i := len(callstack) - 1; i >= 0; i-- {
 		cf := a.Tab.FuncAt(callstack[i])
@@ -153,8 +163,8 @@ func (p *partial) accumulate(a *Analyzer, pc uint64, artificial bool, m *Metrics
 			p.calleeOf[cn] = make(map[string]*Metrics)
 		}
 		bumpMap(p.calleeOf[cn], prev, m)
-		if !seen[cn] {
-			seen[cn] = true
+		if !slices.Contains(p.seen, cn) {
+			p.seen = append(p.seen, cn)
 			bumpMap(p.byFuncIncl, cn, m)
 		}
 		prev = cn
@@ -188,9 +198,9 @@ func (a *Analyzer) unitFor(r UnitRef, cfg Config) unit {
 		}
 		return u
 	}
-	u := unit{kind: unitHWC, expIdx: r.Exp, pic: r.PIC, shard: r.Shard}
+	sh := e.Shards(r.PIC)[r.Shard]
+	u := unit{kind: unitHWC, expIdx: r.Exp, pic: r.PIC, shard: r.Shard, events: sh.Count}
 	if keyed {
-		sh := e.Shards(r.PIC)[r.Shard]
 		u.key = fmt.Sprintf("%s/hwc/%d/%d/%d/%d-%d",
 			cfg.Keys[r.Exp], r.PIC, r.Shard, sh.Count, sh.MinCycles, sh.MaxCycles)
 	}
@@ -198,8 +208,10 @@ func (a *Analyzer) unitFor(r UnitRef, cfg Config) unit {
 }
 
 // reduceUnit builds (or fetches from the cache) the partial aggregate
-// for one unit.
-func (a *Analyzer) reduceUnit(u unit, cache PartialCache) *partial {
+// for one unit. A built partial attributes its events into dst when dst
+// has room for exactly the unit's events, and into a slice of its own
+// otherwise.
+func (a *Analyzer) reduceUnit(u unit, cache PartialCache, dst []AEvent) *partial {
 	if cache != nil && u.key != "" {
 		if sp, ok := cache.Get(u.key); ok && sp != nil && sp.p != nil {
 			return sp.p
@@ -220,6 +232,11 @@ func (a *Analyzer) reduceUnit(u unit, cache PartialCache) *partial {
 			p.err = err
 			return p
 		}
+		if len(dst) == len(evs) {
+			p.events = dst[:0:len(dst)]
+		} else {
+			p.events = make([]AEvent, 0, len(evs))
+		}
 		for _, he := range evs {
 			ae := a.attribute(spec, he)
 			p.events = append(p.events, ae)
@@ -234,9 +251,6 @@ func (a *Analyzer) reduceUnit(u unit, cache PartialCache) *partial {
 			if ae.Obj.Kind.IsUnknown() {
 				p.unknownPerEv[spec.Event][ae.Obj.Kind]++
 			}
-			if ae.HasEA {
-				p.eaEvents = append(p.eaEvents, ae)
-			}
 		}
 	}
 	if cache != nil && u.key != "" && p.err == nil {
@@ -245,14 +259,64 @@ func (a *Analyzer) reduceUnit(u unit, cache PartialCache) *partial {
 	return p
 }
 
-// merge folds one partial into the analyzer's aggregates. p is never
-// mutated (cached partials are shared between analyzers). Map merges
-// add unsigned integer weights, so merge order cannot change any value;
-// the ordered slices are appended in canonical unit order by the
-// caller.
+// mergeAll folds the partials into the analyzer in canonical unit order
+// and totals the attributed weight. Events, unless the reduction already
+// sized it and the partials wrote their events in place, is allocated
+// once at its final length; eaEvents is then filtered from it.
+func (a *Analyzer) mergeAll(parts []*partial) {
+	n := 0
+	for _, p := range parts {
+		n += len(p.events)
+	}
+	if len(a.Events) != n {
+		a.Events = make([]AEvent, n)
+	}
+	off := 0
+	for _, p := range parts {
+		dst := a.Events[off : off+len(p.events)]
+		if len(dst) > 0 && &dst[0] != &p.events[0] {
+			copy(dst, p.events)
+		}
+		off += len(dst)
+		a.merge(p)
+	}
+	a.eaEvents = eaOnly(a.Events)
+	// <Total> row: LWP seconds are known; total metric weight is the sum
+	// over all attributed weight.
+	for _, m := range a.byPC {
+		a.total.Add(m)
+	}
+	for _, m := range a.byArtPC {
+		a.total.Add(m)
+	}
+}
+
+// eaOnly returns the events that carry an effective address, in order,
+// in a slice of exactly that length.
+func eaOnly(evs []AEvent) []AEvent {
+	n := 0
+	for i := range evs {
+		if evs[i].HasEA {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]AEvent, 0, n)
+	for i := range evs {
+		if evs[i].HasEA {
+			out = append(out, evs[i])
+		}
+	}
+	return out
+}
+
+// merge folds one partial's map aggregates into the analyzer's. p is
+// never mutated (cached partials are shared between analyzers). Map
+// merges add unsigned integer weights, so merge order cannot change any
+// value; mergeAll places the ordered events.
 func (a *Analyzer) merge(p *partial) {
-	a.Events = append(a.Events, p.events...)
-	a.eaEvents = append(a.eaEvents, p.eaEvents...)
 	for k, m := range p.byPC {
 		bumpMap(a.byPC, k, m)
 	}
@@ -326,6 +390,17 @@ func (a *Analyzer) reduce(cfg Config) error {
 
 	units := a.units(cfg)
 	parts := make([]*partial, len(units))
+	// Shard headers give every unit's event count up front, so each
+	// unit attributes its events straight into its final place in
+	// Events: no per-unit copy to concatenate afterwards.
+	offs := make([]int, len(units)+1)
+	for i, u := range units {
+		offs[i+1] = offs[i] + u.events
+	}
+	if n := offs[len(units)]; n > 0 {
+		a.Events = make([]AEvent, n)
+	}
+	dst := func(i int) []AEvent { return a.Events[offs[i]:offs[i+1]] }
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = defaultWorkers()
@@ -336,7 +411,7 @@ func (a *Analyzer) reduce(cfg Config) error {
 	if workers <= 1 {
 		// Serial reference path: one unit at a time, in order.
 		for i, u := range units {
-			parts[i] = a.reduceUnit(u, cfg.Cache)
+			parts[i] = a.reduceUnit(u, cfg.Cache, dst(i))
 		}
 	} else {
 		var next atomic.Int64
@@ -351,7 +426,7 @@ func (a *Analyzer) reduce(cfg Config) error {
 					if i >= len(units) {
 						return
 					}
-					parts[i] = a.reduceUnit(units[i], cfg.Cache)
+					parts[i] = a.reduceUnit(units[i], cfg.Cache, dst(i))
 				}
 			}()
 		}
@@ -362,16 +437,6 @@ func (a *Analyzer) reduce(cfg Config) error {
 			return fmt.Errorf("analyzer: reducing events: %w", p.err)
 		}
 	}
-	for _, p := range parts {
-		a.merge(p)
-	}
-	// <Total> row: LWP seconds are known; total metric weight is the sum
-	// over all attributed weight.
-	for _, m := range a.byPC {
-		a.total.Add(m)
-	}
-	for _, m := range a.byArtPC {
-		a.total.Add(m)
-	}
+	a.mergeAll(parts)
 	return nil
 }

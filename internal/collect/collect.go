@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -99,6 +100,23 @@ type Truth struct {
 	TruePC uint64
 	TrueEA uint64
 	HasEA  bool
+}
+
+// truthChunk is the number of records in one chunk of a truthLog.
+const truthChunk = 4096
+
+// truthLog gathers one PIC's ground truth during a run in fixed-size
+// chunks, joined once when the run ends: a dense run never regrows and
+// recopies one ever-larger slice per event.
+type truthLog [][]Truth
+
+func (l *truthLog) add(t Truth) {
+	n := len(*l)
+	if n == 0 || len((*l)[n-1]) == truthChunk {
+		*l = append(*l, make([]Truth, 0, truthChunk))
+		n++
+	}
+	(*l)[n-1] = append((*l)[n-1], t)
 }
 
 // Result is the outcome of a profiled run.
@@ -374,6 +392,7 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 		}
 	}
 
+	var truth [2]truthLog
 	m.OnOverflow = func(e *machine.OverflowEvent) {
 		rec := experiment.HWCEvent{
 			PIC:         e.PIC,
@@ -397,7 +416,7 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 		} else {
 			exp.HWC[e.PIC] = append(exp.HWC[e.PIC], rec)
 		}
-		res.Truth[e.PIC] = append(res.Truth[e.PIC], Truth{
+		truth[e.PIC].add(Truth{
 			PIC: e.PIC, TruePC: e.TruePC, TrueEA: e.TrueEA, HasEA: e.TrueHasEA,
 		})
 	}
@@ -414,6 +433,9 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 		}
 	}
 	runErr := runMachine(ctx, m, opts.SingleStep)
+	for pic := range truth {
+		res.Truth[pic] = slices.Concat(truth[pic]...)
+	}
 	if cpuProf != nil {
 		pprof.StopCPUProfile()
 		if err := cpuProf.Close(); err != nil && runErr == nil {

@@ -2,6 +2,7 @@ package collect
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dsprof/internal/asm"
@@ -310,5 +311,62 @@ func TestCollectPerturbationSmall(t *testing.T) {
 	}
 	if res.Machine.Stats().Cycles != plain {
 		t.Errorf("profiled run took %d cycles, unprofiled %d", res.Machine.Stats().Cycles, plain)
+	}
+}
+
+// TestSpooledRecordsMatchStepRun checks the collector against the
+// machine's scratch delivery records: every event and tick a handler
+// receives is overwritten by the next delivery, so the spooled shard
+// records, the ground truth and the clock stream of a dense batched run
+// must still equal those of the reference Step-driven run, record for
+// record, callstacks included.
+func TestSpooledRecordsMatchStepRun(t *testing.T) {
+	prog := compileChase(t)
+	specs, err := ParseCounterSpec("+ecrm,97,+dtlbm,61")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		ClockProfile:        true,
+		ClockIntervalCycles: 20_000,
+		Counters:            specs,
+		Machine:             scaled(),
+		Input:               []int64{20000},
+	}
+	stepOpts := opts
+	stepOpts.SingleStep = true
+	step, err := Run(prog, stepOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spoolOpts := opts
+	spoolOpts.SpoolDir = t.TempDir()
+	spoolOpts.SpoolShardEvents = 64
+	spooled, err := Run(prog, spoolOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pic := 0; pic < experiment.NumPICs; pic++ {
+		want := step.Exp.HWC[pic]
+		if len(want) < 200 {
+			t.Fatalf("pic %d: only %d events; want a dense run", pic, len(want))
+		}
+		var got []experiment.HWCEvent
+		for i := range spooled.Exp.Shards(pic) {
+			evs, err := spooled.Exp.ReadShard(pic, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, evs...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("pic %d: spooled records differ from the Step run (%d vs %d events)", pic, len(got), len(want))
+		}
+		if !reflect.DeepEqual(spooled.Truth[pic], step.Truth[pic]) {
+			t.Errorf("pic %d: ground truth differs from the Step run", pic)
+		}
+	}
+	if len(step.Exp.Clock) < 2 || !reflect.DeepEqual(spooled.Exp.Clock, step.Exp.Clock) {
+		t.Errorf("clock stream differs from the Step run (%d vs %d ticks)", len(spooled.Exp.Clock), len(step.Exp.Clock))
 	}
 }

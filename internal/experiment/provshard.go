@@ -44,6 +44,8 @@ type ProvWriter struct {
 	count  int
 	off    int64
 	err    error
+	// payload is the encode buffer, reused by every flush.
+	payload bytes.Buffer
 }
 
 // NewProvWriterFS creates (truncating) the provenance shard file at
@@ -94,8 +96,9 @@ func (w *ProvWriter) Flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(w.buf); err != nil {
+	payload := &w.payload
+	payload.Reset()
+	if err := gob.NewEncoder(payload).Encode(w.buf); err != nil {
 		w.err = fmt.Errorf("experiment: encoding prov shard: %w", err)
 		return w.err
 	}

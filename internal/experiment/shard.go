@@ -88,6 +88,8 @@ type ShardWriter struct {
 	count  int
 	off    int64
 	err    error
+	// payload is the encode buffer, reused by every flush.
+	payload bytes.Buffer
 }
 
 // NewShardWriter creates (truncating) the shard file at path for the
@@ -148,8 +150,9 @@ func (w *ShardWriter) Flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(w.buf); err != nil {
+	payload := &w.payload
+	payload.Reset()
+	if err := gob.NewEncoder(payload).Encode(w.buf); err != nil {
 		w.err = fmt.Errorf("experiment: encoding shard: %w", err)
 		return w.err
 	}

@@ -341,7 +341,8 @@ func (m *Machine) Step() error {
 			m.nextTick += m.ClockTickCycles
 			m.stats.ClockTicks++
 			if m.OnClockTick != nil {
-				m.OnClockTick(&ClockTick{PC: m.PC, Callstack: m.callstackScratch(), Cycles: m.stats.Cycles})
+				m.tickScratch = ClockTick{PC: m.PC, Callstack: m.callstackScratch(), Cycles: m.stats.Cycles}
+				m.OnClockTick(&m.tickScratch)
 			}
 		}
 	}
@@ -644,8 +645,9 @@ func (m *Machine) countOn(pic int, ev hwc.Event, n uint64, trigPC, ea uint64, ha
 
 // deliverPending ages pending overflow signals and fires those whose skid
 // has elapsed. Delivered state (PC, registers, callstack) is the live
-// machine state at delivery time. The callstack is a reusable scratch
-// buffer — see OverflowEvent.Callstack — keeping delivery allocation-free.
+// machine state at delivery time. The event and its callstack are
+// machine-owned scratch, rewritten on every delivery (see OverflowEvent),
+// which keeps delivery allocation-free.
 func (m *Machine) deliverPending() {
 	kept := m.pending[:0]
 	for i := range m.pending {
@@ -656,12 +658,13 @@ func (m *Machine) deliverPending() {
 			continue
 		}
 		if m.OnOverflow != nil {
-			e := p.ev
+			e := &m.evScratch
+			*e = p.ev
 			e.DeliveredPC = m.PC
 			e.Regs = m.Regs
 			e.Callstack = m.callstackScratch()
 			e.Cycles = m.stats.Cycles
-			m.OnOverflow(&e)
+			m.OnOverflow(e)
 		}
 	}
 	m.pending = kept

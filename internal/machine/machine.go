@@ -21,6 +21,11 @@ import (
 // for test validation only; the collector and analyzer never read them
 // (the paper's hardware does not provide them, which is the entire reason
 // apropos backtracking exists).
+//
+// The *OverflowEvent handed to OnOverflow is machine-owned scratch that
+// the next delivery overwrites: it is valid only for the duration of the
+// callback, so handlers that retain an event must copy it (*e), and
+// deep-copy Callstack.
 type OverflowEvent struct {
 	PIC         int
 	Event       hwc.Event
@@ -39,9 +44,10 @@ type OverflowEvent struct {
 
 // ClockTick is delivered to the profiling layer on each clock-profiling
 // tick. Like real clock interrupts, the PC is the next instruction to
-// issue, and no backtracking correction is possible. Callstack aliases a
-// reusable scratch buffer, valid only during the callback (copy to
-// retain), like OverflowEvent.Callstack.
+// issue, and no backtracking correction is possible. Like an
+// OverflowEvent, the *ClockTick handed to OnClockTick and its Callstack
+// are machine-owned scratch, valid only during the callback (copy to
+// retain).
 type ClockTick struct {
 	PC        uint64
 	Callstack []uint64
@@ -139,7 +145,8 @@ type Machine struct {
 	outLong []int64
 	outText bytes.Buffer
 
-	// Profiling hooks.
+	// Profiling hooks. OnOverflow and OnClockTick receive scratch
+	// records valid only during the call (see OverflowEvent, ClockTick).
 	OnOverflow      func(*OverflowEvent)
 	OnClockTick     func(*ClockTick)
 	ClockTickCycles uint64
@@ -154,10 +161,15 @@ type Machine struct {
 	nextTick uint64
 
 	callstack []uint64
-	// csScratch is the reusable buffer callstackScratch snapshots into,
-	// keeping event delivery allocation-free on the hot path.
-	csScratch []uint64
-	allocs    []Alloc
+	// csScratch is the reusable buffer callstackScratch snapshots into;
+	// evScratch and tickScratch are the records OnOverflow and
+	// OnClockTick receive. Reusing all three keeps event delivery
+	// allocation-free on the hot path.
+	csScratch   []uint64
+	evScratch   OverflowEvent
+	tickScratch ClockTick
+
+	allocs []Alloc
 	// provLive holds the open provenance record for each live heap block
 	// while OnProv is set; see prov.go.
 	provLive map[uint64]ProvRecord

@@ -324,7 +324,7 @@ func TestPrefetchNeverFaults(t *testing.T) {
 
 func TestCounterOverflowAndSkid(t *testing.T) {
 	cfg := DefaultConfig()
-	var events []*OverflowEvent
+	var events []OverflowEvent
 	// Strided loads over a fresh heap block: every load of a new 512-byte
 	// E$ line is an E$ read miss.
 	m := build(t, cfg, func(b *asm.Builder) {
@@ -345,7 +345,7 @@ func TestCounterOverflowAndSkid(t *testing.T) {
 	if err := m.ArmCounter(0, hwc.EvECRdMiss, 100); err != nil {
 		t.Fatal(err)
 	}
-	m.OnOverflow = func(e *OverflowEvent) { events = append(events, e) }
+	m.OnOverflow = func(e *OverflowEvent) { events = append(events, *e) } // e is scratch: copy it
 	run(t, m)
 	if m.Stats().ECRdMisses < 1000 {
 		t.Fatalf("ECRdMisses = %d, expected ~1024", m.Stats().ECRdMisses)
@@ -394,7 +394,7 @@ func TestTwoCountersAndArmValidation(t *testing.T) {
 func TestDTLBPreciseDelivery(t *testing.T) {
 	// DTLB overflow events are precise: delivered PC is exactly trigger+4
 	// in a straight-line sequence.
-	var events []*OverflowEvent
+	var events []OverflowEvent
 	m := build(t, DefaultConfig(), func(b *asm.Builder) {
 		b.Emit(movImm(isa.O0, 1))
 		b.Emit(isa.Instr{Op: isa.Sll, Rd: isa.O0, Rs1: isa.O0, UseImm: true, Imm: 24}) // 16 MB
@@ -416,7 +416,7 @@ func TestDTLBPreciseDelivery(t *testing.T) {
 	if err := m.ArmCounter(0, hwc.EvDTLBMiss, 50); err != nil {
 		t.Fatal(err)
 	}
-	m.OnOverflow = func(e *OverflowEvent) { events = append(events, e) }
+	m.OnOverflow = func(e *OverflowEvent) { events = append(events, *e) } // e is scratch: copy it
 	run(t, m)
 	if len(events) == 0 {
 		t.Fatal("no DTLB overflow events")
@@ -498,5 +498,50 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if st.DTLBMisses == 0 {
 		t.Error("expected at least one DTLB miss on first heap touch")
+	}
+}
+
+// TestDeliveryReusesScratch pins the delivery lifetime contract: every
+// overflow event and clock tick handed to a callback is the same
+// machine-owned record, rewritten for each delivery.
+func TestDeliveryReusesScratch(t *testing.T) {
+	m := build(t, DefaultConfig(), func(b *asm.Builder) {
+		b.Emit(movImm(isa.O1, 1000))
+		b.Label("loop")
+		b.Emit(isa.Instr{Op: isa.Sub, Rd: isa.O1, Rs1: isa.O1, UseImm: true, Imm: 1})
+		b.Emit(isa.Instr{Op: isa.Cmp, Rs1: isa.O1, UseImm: true, Imm: 0})
+		b.EmitBranch(isa.Bg, "loop")
+		b.Emit(isa.Instr{Op: isa.Nop})
+		b.Emit(isa.Instr{Op: isa.Halt})
+	})
+	if err := m.ArmCounter(0, hwc.EvInstrs, 50); err != nil {
+		t.Fatal(err)
+	}
+	m.ClockTickCycles = 100
+	var evPtrs []*OverflowEvent
+	var tickPtrs []*ClockTick
+	var delivered []uint64
+	m.OnOverflow = func(e *OverflowEvent) {
+		evPtrs = append(evPtrs, e)
+		delivered = append(delivered, e.DeliveredPC)
+	}
+	m.OnClockTick = func(ct *ClockTick) { tickPtrs = append(tickPtrs, ct) }
+	run(t, m)
+	if len(evPtrs) < 2 || len(tickPtrs) < 2 {
+		t.Fatalf("%d events, %d ticks; want at least two of each", len(evPtrs), len(tickPtrs))
+	}
+	for i := range evPtrs {
+		if evPtrs[i] != evPtrs[0] {
+			t.Fatalf("delivery %d handed a fresh *OverflowEvent", i)
+		}
+	}
+	for i := range tickPtrs {
+		if tickPtrs[i] != tickPtrs[0] {
+			t.Fatalf("tick %d handed a fresh *ClockTick", i)
+		}
+	}
+	// The shared record holds the last delivery only.
+	if last := delivered[len(delivered)-1]; evPtrs[0].DeliveredPC != last {
+		t.Errorf("scratch DeliveredPC = %#x, want the last delivery's %#x", evPtrs[0].DeliveredPC, last)
 	}
 }
