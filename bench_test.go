@@ -886,54 +886,6 @@ func bestOf(n int, f func() float64) (best, spreadPct float64) {
 	return best, (worst/best - 1) * 100
 }
 
-// BenchmarkCollectWallClock measures the wall-clock of a full armed MCF
-// collect (clock profiling plus the paper's E$ stall/read-miss counter
-// set with backtracking) on the default backend against the same collect
-// driven by the reference stepper. The two runs' experiments are
-// byte-equal (TestFastPathGolden); here only the time differs.
-func BenchmarkCollectWallClock(b *testing.B) {
-	prog, input, cfg := simcoreProg(b)
-	specs, err := collect.ParseCounterSpec("+ecstall,100003,+ecrm,2003")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var instrs uint64
-	runOnce := func(singleStep bool) float64 {
-		opts := collect.Options{
-			ClockProfile: true,
-			Counters:     specs,
-			Machine:      &cfg,
-			Input:        input,
-			SingleStep:   singleStep,
-		}
-		t0 := time.Now()
-		res, err := collect.Run(prog, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs = res.Exp.Meta.Stats.Instrs
-		return time.Since(t0).Seconds()
-	}
-	var fastSec, stepSec, spread float64
-	for i := 0; i < b.N; i++ {
-		fastSec, spread = bestOf(5, func() float64 { return runOnce(false) })
-		stepSec, _ = bestOf(2, func() float64 { return runOnce(true) })
-	}
-	speedup := stepSec / fastSec
-	b.ReportMetric(fastSec, "fastSec")
-	b.ReportMetric(stepSec, "singleStepSec")
-	b.ReportMetric(speedup, "xSpeedupVsStep")
-	b.ReportMetric(float64(instrs)/fastSec/1e6, "Minstrs/sec")
-	recordSimcore(b, "collect_wallclock_armed", map[string]float64{
-		"instrs":          float64(instrs),
-		"fast_sec":        fastSec,
-		"single_step_sec": stepSec,
-		"speedup_vs_step": speedup,
-		"spread_pct":      spread,
-		"instrs_per_sec":  float64(instrs) / fastSec,
-	})
-}
-
 // BenchmarkCollectArmedTranslated measures the armed MCF collect — the
 // configuration every experiment in the paper actually runs — on all
 // three engines: the reference stepper, the event-horizon interpreter,
@@ -952,7 +904,7 @@ func BenchmarkCollectArmedTranslated(b *testing.B) {
 		b.Fatal(err)
 	}
 	var instrs uint64
-	runOnce := func(singleStep bool, backend string) float64 {
+	runOnce := func(singleStep bool, backend machine.Backend) float64 {
 		opts := collect.Options{
 			ClockProfile: true,
 			Counters:     specs,
@@ -972,9 +924,9 @@ func BenchmarkCollectArmedTranslated(b *testing.B) {
 	var transSec, fastSec, stepSec float64
 	var transSpread, fastSpread float64
 	for i := 0; i < b.N; i++ {
-		transSec, transSpread = bestOf(5, func() float64 { return runOnce(false, "translated") })
-		fastSec, fastSpread = bestOf(5, func() float64 { return runOnce(false, "fast") })
-		stepSec, _ = bestOf(2, func() float64 { return runOnce(true, "") })
+		transSec, transSpread = bestOf(5, func() float64 { return runOnce(false, machine.BackendTranslated) })
+		fastSec, fastSpread = bestOf(5, func() float64 { return runOnce(false, machine.BackendFast) })
+		stepSec, _ = bestOf(2, func() float64 { return runOnce(true, machine.BackendTranslated) })
 	}
 	vsDefault := fastSec / transSec
 	vsStep := stepSec / transSec

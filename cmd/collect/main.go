@@ -2,7 +2,7 @@
 // paper's collect(1):
 //
 //	collect [-o expt.er] [-p on|off] [-h +ecstall,lo,+ecrm,on]
-//	        [-prov on|off] [-scaled] [-backend translated|fast]
+//	        [-prov on|off] [-scaled]
 //	        [-cpuprofile host.pprof] [-memprofile heap.pprof]
 //	        [-input file] prog.obj
 //
@@ -77,7 +77,6 @@ func run() error {
 	prov := flag.String("prov", "off", "allocation-site provenance recording: on or off")
 	inputPath := flag.String("input", "", "program input file (whitespace-separated integers)")
 	scaled := flag.Bool("scaled", false, "use the scaled machine configuration")
-	backend := flag.String("backend", "", "execution engine: translated (default) or fast")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the collection run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile of the collector at run end to this file")
 	flag.Parse()
@@ -95,9 +94,6 @@ func run() error {
 	}
 	specs, err := collect.ParseCounterSpec(*counters)
 	if err != nil {
-		return cli.UsageError{Err: err}
-	}
-	if _, err := machine.ParseBackend(*backend); err != nil {
 		return cli.UsageError{Err: err}
 	}
 	var input []int64
@@ -124,7 +120,6 @@ func run() error {
 		Input:        input,
 		SpoolDir:     *out,
 		Provenance:   *prov == "on",
-		Backend:      *backend,
 		CPUProfile:   *cpuprofile,
 		MemProfile:   *memprofile,
 	})

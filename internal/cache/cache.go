@@ -3,11 +3,12 @@
 // following the UltraSPARC-III Cu organization the paper's experiments ran
 // on (64 KB 4-way 32 B-line D$, 8 MB 2-way 512 B-line E$).
 //
-// The model is a timing and event model, not a coherence model: each access
-// reports which levels hit, which counter events it generated, and how many
-// stall cycles the pipeline lost. Geometry and miss costs are configurable
-// so experiments can run with scaled-down caches while preserving the
-// working-set-to-cache ratios that drive the paper's results.
+// The model is a timing model, not a coherence model: each access reports
+// whether it hit and whether its install evicted a dirty line; the
+// machine's access routine turns those outcomes into counter events and
+// stall cycles. Geometry and miss costs are configurable so experiments
+// can run with scaled-down caches while preserving the working-set-to-cache
+// ratios that drive the paper's results.
 package cache
 
 import "fmt"
@@ -35,6 +36,41 @@ func (c *Config) Validate() error {
 
 // Sets returns the number of sets.
 func (c *Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
+
+// DefaultDCache is the UltraSPARC-III Cu level-1 data cache: 64 KB,
+// 4-way, 32-byte lines.
+func DefaultDCache() Config {
+	return Config{Name: "D$", SizeBytes: 64 << 10, LineBytes: 32, Assoc: 4}
+}
+
+// DefaultECache is the UltraSPARC-III Cu external cache: 8 MB, 2-way,
+// 512-byte lines.
+func DefaultECache() Config {
+	return Config{Name: "E$", SizeBytes: 8 << 20, LineBytes: 512, Assoc: 2}
+}
+
+// Costs holds the stall-cycle model of the D$/E$ hierarchy. Values are
+// pipeline cycles lost beyond the instruction's base cost. Defaults
+// approximate a 900 MHz UltraSPARC-III Cu. The write policy that decides
+// which stall an access takes lives with the machine's access routine.
+type Costs struct {
+	EHitStall      int // D$ miss that hits E$
+	MemStall       int // E$ read miss serviced from memory
+	StoreMissStall int // store that misses E$ (partially hidden by the store queue)
+	WritebackStall int // dirty E$ victim writeback
+}
+
+// DefaultCosts is the UltraSPARC-III-like cost model.
+func DefaultCosts() Costs {
+	return Costs{EHitStall: 14, MemStall: 180, StoreMissStall: 30, WritebackStall: 8}
+}
+
+// MaxStall bounds the stall of any single access. It is deliberately
+// loose — no access takes every stall at once — and serves only the
+// event-horizon bounds that must never be undershot.
+func (c Costs) MaxStall() uint64 {
+	return uint64(c.EHitStall + c.MemStall + c.StoreMissStall + c.WritebackStall)
+}
 
 // Tag-word flag bits. The valid and dirty state of each way is packed
 // into the top bits of its tag word instead of parallel []bool arrays, so
@@ -139,8 +175,8 @@ func (c *Cache) HitMRU(addr uint64, write bool) bool {
 // with no state change — unless addr's line currently occupies ways[way].
 // On a hit it applies exactly the updates a full Access would, like
 // HitMRU but with a caller-remembered way instead of the MRU memo, so
-// per-site way caches (the translated backend's memory ops) can verify
-// and retire repeat hits inline. The way index is a performance hint
+// the machine's per-site access hints can verify and retire repeat hits
+// inline. The way index is a performance hint
 // only: a stale one fails the tag compare and the caller falls back.
 func (c *Cache) WayHit(way int, addr uint64, write bool) bool {
 	line := addr >> c.lineShift

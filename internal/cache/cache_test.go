@@ -152,91 +152,6 @@ func TestFittingWorkingSetNoMisses(t *testing.T) {
 	}
 }
 
-func TestHierarchyLoadPath(t *testing.T) {
-	h, err := NewHierarchy(
-		Config{Name: "D$", SizeBytes: 1024, LineBytes: 32, Assoc: 4},
-		Config{Name: "E$", SizeBytes: 8192, LineBytes: 512, Assoc: 2},
-		DefaultCosts(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cold load: misses both.
-	r := h.Load(0x10000)
-	if !r.DCRdMiss || !r.ECRef || !r.ECRdMiss || r.Stall != DefaultCosts().MemStall {
-		t.Errorf("cold load result %+v", r)
-	}
-	// Hot load: D$ hit, nothing else.
-	r = h.Load(0x10000)
-	if !r.DCHit || r.ECRef || r.Stall != 0 {
-		t.Errorf("hot load result %+v", r)
-	}
-	// Same E$ line (512 B), different D$ line: D$ miss, E$ hit.
-	r = h.Load(0x10000 + 64)
-	if !r.DCRdMiss || !r.ECRef || r.ECRdMiss || r.Stall != DefaultCosts().EHitStall {
-		t.Errorf("E$-hit load result %+v", r)
-	}
-	if h.ECStallCycles != uint64(DefaultCosts().MemStall+DefaultCosts().EHitStall) {
-		t.Errorf("ECStallCycles = %d", h.ECStallCycles)
-	}
-}
-
-func TestHierarchyStorePath(t *testing.T) {
-	h, err := NewHierarchy(
-		Config{Name: "D$", SizeBytes: 1024, LineBytes: 32, Assoc: 4},
-		Config{Name: "E$", SizeBytes: 8192, LineBytes: 512, Assoc: 2},
-		DefaultCosts(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cold store: D$ miss (no allocate), E$ write-allocate miss.
-	r := h.Store(0x20000)
-	if r.DCHit || !r.ECRef || !r.ECMiss || r.ECRdMiss || r.Stall != DefaultCosts().StoreMissStall {
-		t.Errorf("cold store result %+v", r)
-	}
-	if h.D.Contains(0x20000) {
-		t.Error("store allocated into D$")
-	}
-	if !h.E.Contains(0x20000) {
-		t.Error("store did not allocate into E$")
-	}
-	// Store again: still D$ miss (never allocated), but E$ hit now.
-	r = h.Store(0x20000)
-	if !r.ECRef || r.ECMiss || r.Stall != 0 {
-		t.Errorf("warm store result %+v", r)
-	}
-	// Load it into D$, then store: absorbed, no E$ ref.
-	h.Load(0x20000)
-	r = h.Store(0x20000)
-	if !r.DCHit || r.ECRef {
-		t.Errorf("D$-hit store result %+v", r)
-	}
-}
-
-func TestHierarchyPrefetch(t *testing.T) {
-	h, err := NewHierarchy(
-		Config{Name: "D$", SizeBytes: 1024, LineBytes: 32, Assoc: 4},
-		Config{Name: "E$", SizeBytes: 8192, LineBytes: 512, Assoc: 2},
-		DefaultCosts(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := h.Prefetch(0x30000)
-	if r.Stall != 0 || r.ECRdMiss {
-		t.Errorf("prefetch result %+v", r)
-	}
-	if h.ECStallCycles != 0 {
-		t.Error("prefetch accumulated stall")
-	}
-	// Demand load after prefetch hits.
-	r = h.Load(0x30000)
-	if !r.DCHit {
-		t.Errorf("load after prefetch: %+v", r)
-	}
-}
-
 // refCache is the naive reference model of the cache's observable state
 // machine, retained from before the timestamp-LRU and packed-metadata
 // rework: per-set MRU-first lists of (line, dirty) pairs and plain

@@ -66,13 +66,13 @@ type Options struct {
 	// experiment is identical either way (the differential golden test
 	// asserts this); the option exists for that test and for debugging.
 	SingleStep bool
-	// Backend selects the batched execution engine: "" or "translated"
-	// (the default) runs hot superblocks as threaded code, "fast"
-	// forces the event-horizon interpreter alone. Ignored under
-	// SingleStep. The produced experiment is byte-identical across
-	// backends; the knob exists for benchmarking and for bisecting a
-	// suspected backend divergence in the field.
-	Backend string
+	// Backend selects the batched execution engine; the zero value is
+	// the translated default, and machine.BackendFast forces the
+	// event-horizon interpreter alone. Ignored under SingleStep. No
+	// command or job exposes it: the produced experiment is
+	// byte-identical across engines, and only the three-way goldens and
+	// the armed-collect benchmark gates set it.
+	Backend machine.Backend
 	// FS is the filesystem spooled writes go through; nil means the real
 	// filesystem. The fault-injection tests and the crash-point soak
 	// harness plug in faultfs.Injected / faultfs.Recorder here.
@@ -274,11 +274,7 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 	if err := m.LoadProgram(prog.Text, prog.Data, prog.Entry); err != nil {
 		return nil, err
 	}
-	backend, err := machine.ParseBackend(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	m.SetBackend(backend)
+	m.SetBackend(opts.Backend)
 	m.SetInput(opts.Input)
 
 	maxBT := opts.MaxBacktrack

@@ -63,15 +63,6 @@ func CollectRunContext(ctx context.Context, prog *asm.Program, input []int64, cf
 // experiment's prov.pv2 shards, feeding the object-centric reports.
 // With it off the result is byte-identical to CollectRunContext.
 func CollectRunContextProv(ctx context.Context, prog *asm.Program, input []int64, cfg *machine.Config, clockProfile bool, clockTick uint64, counterSpec string, provenance bool) (*collect.Result, error) {
-	return CollectRunContextJob(ctx, prog, input, cfg, clockProfile, clockTick, counterSpec, provenance, "")
-}
-
-// CollectRunContextJob is CollectRunContextProv with the execution
-// backend selectable ("", "translated", or "fast" — see
-// machine.ParseBackend). Scheduled services pass a job's Backend field
-// through here; the experiment produced is byte-identical whichever
-// engine runs it.
-func CollectRunContextJob(ctx context.Context, prog *asm.Program, input []int64, cfg *machine.Config, clockProfile bool, clockTick uint64, counterSpec string, provenance bool, backend string) (*collect.Result, error) {
 	specs, err := collect.ParseCounterSpec(counterSpec)
 	if err != nil {
 		return nil, err
@@ -83,7 +74,6 @@ func CollectRunContextJob(ctx context.Context, prog *asm.Program, input []int64,
 		Machine:             cfg,
 		Input:               input,
 		Provenance:          provenance,
-		Backend:             backend,
 	})
 }
 

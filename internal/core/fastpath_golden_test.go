@@ -64,8 +64,7 @@ func TestFastPathGolden(t *testing.T) {
 // TestFastPathGoldenNBody is the same three-way golden over the second
 // workload family: the n-body force-layout kernel, whose Q16.16 float
 // lowering and anonymous-union members must simulate identically on all
-// three engines. Byte-identical experiment directories here are what
-// let profd's ConfigHash keep excluding Backend for nbody jobs too.
+// three engines.
 func TestFastPathGoldenNBody(t *testing.T) {
 	prog, err := nbody.Program(nbody.VariantBaseline, cc.Options{HWCProf: true})
 	if err != nil {
@@ -93,10 +92,12 @@ func TestFastPathGoldenNBody(t *testing.T) {
 // runThreeWayGolden collects every counter set on the reference
 // stepper, the fast interpreter and the translated backend, then
 // requires byte-identical experiment directories and byte-identical
-// renderings of every registered report.
+// renderings of every registered report. Every arm's run must also
+// satisfy the counter invariants no correct model can break (see
+// checkStatsInvariants).
 func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machine.Config, counterSets []goldenSet, reports []string) {
 	t.Helper()
-	collectPair := func(singleStep bool, backend string) ([]*experiment.Experiment, []string) {
+	collectPair := func(singleStep bool, backend machine.Backend) ([]*experiment.Experiment, []string) {
 		var exps []*experiment.Experiment
 		var dirs []string
 		for _, cs := range counterSets {
@@ -115,8 +116,9 @@ func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machi
 				Provenance:          true,
 			})
 			if err != nil {
-				t.Fatalf("collect %s (singleStep=%v, backend=%q): %v", cs.name, singleStep, backend, err)
+				t.Fatalf("collect %s (singleStep=%v, backend=%d): %v", cs.name, singleStep, backend, err)
 			}
+			checkStatsInvariants(t, fmt.Sprintf("%s (singleStep=%v, backend=%d)", cs.name, singleStep, backend), res.Exp.Meta.Stats)
 			// Pin the only intentionally non-deterministic field so the
 			// directories can be compared byte for byte.
 			res.Exp.Meta.When = time.Unix(1058400000, 0).UTC()
@@ -130,9 +132,9 @@ func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machi
 		return exps, dirs
 	}
 
-	refExps, refDirs := collectPair(true, "")
-	fastExps, fastDirs := collectPair(false, "fast")
-	transExps, transDirs := collectPair(false, "translated")
+	refExps, refDirs := collectPair(true, machine.BackendTranslated)
+	fastExps, fastDirs := collectPair(false, machine.BackendFast)
+	transExps, transDirs := collectPair(false, machine.BackendTranslated)
 
 	// 1. The saved experiment directories must be byte-identical across
 	// all three engines.
@@ -195,6 +197,23 @@ func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machi
 	}
 	if !refExps[0].Meta.ClockProfiling || len(refExps[0].Clock) == 0 {
 		t.Error("experiment A produced no clock ticks")
+	}
+}
+
+// checkStatsInvariants asserts the counter relations that hold on every
+// run of a correct model, whatever the workload: E$ read misses are a
+// subset of E$ references, E$ stall cycles a subset of all cycles, and
+// D$ read misses a subset of loads. A violation is a model bug.
+func checkStatsInvariants(t *testing.T, label string, st machine.Stats) {
+	t.Helper()
+	if st.ECRdMisses > st.ECRefs {
+		t.Errorf("%s: E$ read misses %d exceed E$ references %d", label, st.ECRdMisses, st.ECRefs)
+	}
+	if st.ECStallCycles > st.Cycles {
+		t.Errorf("%s: E$ stall cycles %d exceed cycles %d", label, st.ECStallCycles, st.Cycles)
+	}
+	if st.DCRdMisses > st.Loads {
+		t.Errorf("%s: D$ read misses %d exceed loads %d", label, st.DCRdMisses, st.Loads)
 	}
 }
 

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"dsprof/internal/cache"
 	"dsprof/internal/hwc"
 	"dsprof/internal/isa"
 	"dsprof/internal/tlb"
@@ -214,10 +213,8 @@ loop:
 		// fetch line (sequential fetches within a line are free).
 		if line := pc >> m.icLineShift; line != fetchLine {
 			fetchLine = line
-			if hit, _ := m.IC.Access(pc, false, true); !hit {
-				m.stats.ICMisses++
-				cost += uint64(m.Cfg.ICMissStall)
-				m.count(hwc.EvICMiss, 1, pc, 0, false)
+			if hit, _ := m.IC.AccessFull(pc, false, true); !hit {
+				cost += m.icMiss(pc)
 			}
 		}
 		nextNPC := npc + isa.InstrBytes
@@ -228,7 +225,7 @@ loop:
 		case isa.ClLdB, isa.ClLdUB, isa.ClLdW, isa.ClLdX,
 			isa.ClStB, isa.ClStW, isa.ClStX, isa.ClPrefetch:
 			addr := uint64(m.Regs[d.Rs1] + m.src2(d))
-			extra, err := m.access(d, pc, addr)
+			extra, err := m.memOp(d, pc, addr)
 			if err != nil {
 				m.stats.Instrs++ // the trapping instruction still issued
 				retErr = err
@@ -382,10 +379,8 @@ func (m *Machine) exec1(d *isa.Decoded, pc uint64) (uint64, error) {
 	// fetch line (sequential fetches within a line are free).
 	if line := pc >> m.icLineShift; line != m.lastFetchLine {
 		m.lastFetchLine = line
-		if hit, _ := m.IC.Access(pc, false, true); !hit {
-			m.stats.ICMisses++
-			cost += uint64(m.Cfg.ICMissStall)
-			m.count(hwc.EvICMiss, 1, pc, 0, false)
+		if hit, _ := m.IC.AccessFull(pc, false, true); !hit {
+			cost += m.icMiss(pc)
 		}
 	}
 	nextNPC := m.NPC + isa.InstrBytes
@@ -396,7 +391,7 @@ func (m *Machine) exec1(d *isa.Decoded, pc uint64) (uint64, error) {
 	case isa.ClLdB, isa.ClLdUB, isa.ClLdW, isa.ClLdX,
 		isa.ClStB, isa.ClStW, isa.ClStX, isa.ClPrefetch:
 		addr := uint64(m.Regs[d.Rs1] + m.src2(d))
-		extra, err := m.access(d, pc, addr)
+		extra, err := m.memOp(d, pc, addr)
 		if err != nil {
 			return 0, err
 		}
@@ -522,9 +517,21 @@ func (m *Machine) cond(op isa.Op) bool {
 	return false
 }
 
-// access performs the memory reference of d at effective address addr
-// and returns the extra stall cycles.
-func (m *Machine) access(d *isa.Decoded, pc, addr uint64) (uint64, error) {
+// icMiss charges an instruction-fetch miss at pc — the statistic and the
+// icm event — and returns its stall. Every engine's fetch probe ends here
+// on a miss. (Probes run only when the fetch line changes, so the I$ MRU
+// memo can never hit and they call AccessFull directly.)
+func (m *Machine) icMiss(pc uint64) uint64 {
+	m.stats.ICMisses++
+	m.count(hwc.EvICMiss, 1, pc, 0, false)
+	return uint64(m.Cfg.ICMissStall)
+}
+
+// memOp performs the memory instruction d at effective address addr for
+// Step and the interpreter: the trap checks, the shared access routine
+// with the machine's scratch hint, then the architectural read or write.
+// It returns the access's stall cycles.
+func (m *Machine) memOp(d *isa.Decoded, pc, addr uint64) (uint64, error) {
 	if d.Class != isa.ClPrefetch && addr&uint64(d.MemSize-1) != 0 {
 		return 0, &Trap{Kind: TrapMisaligned, PC: pc, Addr: addr}
 	}
@@ -535,60 +542,7 @@ func (m *Machine) access(d *isa.Decoded, pc, addr uint64) (uint64, error) {
 		}
 		return 0, &Trap{Kind: TrapSegv, PC: pc, Addr: addr}
 	}
-
-	var stall uint64
-	if !m.DTLB.Lookup(addr&^(pageSize-1), pageSize) {
-		m.stats.DTLBMisses++
-		stall += tlb.MissPenaltyCycles
-		m.count(hwc.EvDTLBMiss, 1, pc, addr, true)
-	}
-
-	// A D$ hit generates no counter events and no stall for loads, stores
-	// and prefetches alike, so the MRU fast path can absorb it without
-	// entering the hierarchy (the state updates are exactly Access's).
-	isStore := d.Class.IsStore()
-	if m.Hier.D.HitMRU(addr, isStore) {
-		if isStore {
-			m.stats.Stores++
-		} else if d.Class != isa.ClPrefetch {
-			m.stats.Loads++
-		}
-	} else {
-		// One Result covers all three access kinds: stores never report
-		// read misses and prefetches never report stall, so the
-		// unconditional checks below stay exact without copying fields
-		// through a second struct.
-		var res cache.Result
-		switch {
-		case d.Class.IsLoad():
-			m.stats.Loads++
-			res = m.Hier.Load(addr)
-		case isStore:
-			m.stats.Stores++
-			res = m.Hier.Store(addr)
-		default: // prefetch
-			res = m.Hier.Prefetch(addr)
-		}
-		if res.DCRdMiss {
-			m.stats.DCRdMisses++
-			m.count(hwc.EvDCRdMiss, 1, pc, addr, true)
-		}
-		if res.ECRef {
-			m.stats.ECRefs++
-			m.count(hwc.EvECRef, 1, pc, addr, true)
-		}
-		if res.ECRdMiss {
-			m.stats.ECRdMisses++
-			m.count(hwc.EvECRdMiss, 1, pc, addr, true)
-		}
-		if res.Stall > 0 {
-			m.stats.ECStallCycles += uint64(res.Stall)
-			m.count(hwc.EvECStall, uint64(res.Stall), pc, addr, true)
-		}
-		stall += uint64(res.Stall)
-	}
-
-	// Perform the architectural access.
+	stall := m.access(d.Class, pc, addr, pageSize, &m.hint, false)
 	switch d.Class {
 	case isa.ClLdB:
 		m.wreg(d.Rd, int64(int8(m.Mem.Read8(addr))))
@@ -605,7 +559,102 @@ func (m *Machine) access(d *isa.Decoded, pc, addr uint64) (uint64, error) {
 	case isa.ClStX:
 		m.Mem.Write64(addr, uint64(m.Regs[d.Rd]))
 	}
+	switch {
+	case d.Class.IsLoad():
+		m.stats.Loads++
+	case d.Class.IsStore():
+		m.stats.Stores++
+	}
 	return stall, nil
+}
+
+// siteHint remembers where an access site's previous access landed: the
+// index of its D$ way, its E$ way and its DTLB entry. A hint is only ever
+// checked by a tag compare (Cache.WayHit, TLB.EntryHit), so a stale or
+// foreign one just falls back to the full lookup and cannot change any
+// result. Translated memory ops keep one per site in their tinstr; Step
+// and the interpreter share the machine's scratch hint. The 16-bit
+// indices fit the tinstr's padding and cover caches of up to 65536 lines;
+// a larger index wraps to another valid way, whose compare then fails.
+type siteHint struct {
+	dway, eway, tlb uint16
+}
+
+// access is the one memory-access routine: every engine calls it for a
+// load, store or prefetch once its own trap checks have passed. It
+// translates through the DTLB, probes the D$ and, on a D$ miss, applies
+// the UltraSPARC-III write policy:
+//   - D$ is write-through, no-write-allocate: store hits update the D$,
+//     store misses install no D$ line.
+//   - Stores that hit the D$ are absorbed by the write cache and make no
+//     E$ reference; D$ misses of every kind reference the E$.
+//   - E$ is write-back, write-allocate; a dirty victim adds WritebackStall.
+//   - Prefetches fill both levels, never stall and count no read miss.
+//
+// Each step bumps its statistics and counts its events at pc and addr, in
+// that order; this is the only code that decides which events an access
+// raises and which Cfg.Costs stall it pays. It returns the stall cycles
+// and refreshes h after every fallback lookup. The translated engine retires the common
+// case — DTLB hit on its hint, then a D$ hit — inline, and passes dcMiss
+// when that DTLB hit was followed by a D$ miss: the routine then resumes
+// at the D$ miss (failed hint probes change no state).
+func (m *Machine) access(cl isa.Class, pc, addr, pageSize uint64, h *siteHint, dcMiss bool) uint64 {
+	var stall uint64
+	write := cl.IsStore()
+	if !dcMiss {
+		pageBase := addr &^ (pageSize - 1)
+		if !m.DTLB.EntryHit(int(h.tlb), pageBase) {
+			if !m.DTLB.Lookup(pageBase, pageSize) {
+				m.stats.DTLBMisses++
+				stall = tlb.MissPenaltyCycles
+				m.count(hwc.EvDTLBMiss, 1, pc, addr, true)
+			}
+			h.tlb = uint16(m.DTLB.LastIdx())
+		}
+		if m.DC.HitMRU(addr, write) || m.DC.WayHit(int(h.dway), addr, write) {
+			return stall
+		}
+	}
+	hit, _ := m.DC.AccessFull(addr, write, !write)
+	h.dway = uint16(m.DC.LastWay())
+	if hit {
+		return stall
+	}
+	load := cl.IsLoad()
+	if load {
+		m.stats.DCRdMisses++
+		m.count(hwc.EvDCRdMiss, 1, pc, addr, true)
+	}
+	m.stats.ECRefs++
+	m.count(hwc.EvECRef, 1, pc, addr, true)
+	ehit, wb := true, false
+	if !m.EC.WayHit(int(h.eway), addr, write) {
+		ehit, wb = m.EC.AccessFull(addr, write, true)
+		h.eway = uint16(m.EC.LastWay())
+	}
+	if cl == isa.ClPrefetch {
+		return stall
+	}
+	costs := &m.Cfg.Costs
+	var ec int
+	switch {
+	case ehit && load:
+		ec = costs.EHitStall
+	case load:
+		m.stats.ECRdMisses++
+		m.count(hwc.EvECRdMiss, 1, pc, addr, true)
+		ec = costs.MemStall
+	case !ehit:
+		ec = costs.StoreMissStall
+	}
+	if wb {
+		ec += costs.WritebackStall
+	}
+	if ec > 0 {
+		m.stats.ECStallCycles += uint64(ec)
+		m.count(hwc.EvECStall, uint64(ec), pc, addr, true)
+	}
+	return stall + uint64(ec)
 }
 
 // count feeds n events into whichever PIC registers are armed for ev, and

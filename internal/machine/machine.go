@@ -97,9 +97,13 @@ type Machine struct {
 	ccC  bool // carry
 
 	Mem  *mem.Memory
-	Hier *cache.Hierarchy
+	DC   *cache.Cache // D$: write-through, no-write-allocate
+	EC   *cache.Cache // E$: write-back, write-allocate
 	IC   *cache.Cache
 	DTLB *tlb.TLB
+	// hint is the access-site hint Step and the interpreter share: it
+	// remembers where the previous access landed (see siteHint).
+	hint siteHint
 
 	// lastFetchLine caches the current instruction-fetch line: sequential
 	// fetches within one I$ line cost nothing and are not re-probed.
@@ -184,13 +188,13 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h, err := cache.NewHierarchy(cfg.DCache, cfg.ECache, cfg.Costs)
-	if err != nil {
-		return nil, err
-	}
-	ic, err := cache.New(cfg.ICache)
-	if err != nil {
-		return nil, err
+	var caches [3]*cache.Cache
+	for i, cc := range []cache.Config{cfg.DCache, cfg.ECache, cfg.ICache} {
+		c, err := cache.New(cc)
+		if err != nil {
+			return nil, err
+		}
+		caches[i] = c
 	}
 	t, err := tlb.New(cfg.TLB)
 	if err != nil {
@@ -203,8 +207,9 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		Cfg:           cfg,
 		Mem:           mem.New(),
-		Hier:          h,
-		IC:            ic,
+		DC:            caches[0],
+		EC:            caches[1],
+		IC:            caches[2],
 		DTLB:          t,
 		lastFetchLine: ^uint64(0),
 		icLineShift:   icShift,
@@ -214,8 +219,7 @@ func New(cfg Config) (*Machine, error) {
 	// Worst-case cost of one non-syscall instruction: deliberately a loose
 	// upper bound (an access cannot take every stall at once); the horizon
 	// only batches a hair less per overflow interval.
-	m.maxInstrCost = maxBaseCost + uint64(cfg.ICMissStall) + tlb.MissPenaltyCycles +
-		uint64(cfg.Costs.EHitStall+cfg.Costs.MemStall+cfg.Costs.StoreMissStall+cfg.Costs.WritebackStall)
+	m.maxInstrCost = maxBaseCost + uint64(cfg.ICMissStall) + tlb.MissPenaltyCycles + cfg.Costs.MaxStall()
 	m.heap = newAllocator(HeapBase, HeapBase+cfg.HeapBytes)
 	return m, nil
 }

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"dsprof/internal/hwc"
 	"dsprof/internal/isa"
@@ -21,10 +20,10 @@ import (
 // Safety rests on three invariants (see DESIGN.md §11-12):
 //
 //  1. Exact events. Per-access events — D$/E$ misses, E$ references and
-//     stall cycles, DTLB misses — count through the same count() calls,
-//     with the same trigger PC and address and in the same order, as on
-//     the reference path, so every overflow and its skid draw happen
-//     exactly as there. After any access that leaves a signal pending,
+//     stall cycles, DTLB misses — count in access, the memory-access
+//     routine the reference path also runs, with the same trigger PC and
+//     address and in the same order, so every overflow and its skid draw
+//     happen exactly as there. After any access that leaves a signal pending,
 //     the stretch ends at the next instruction boundary (mid-block if
 //     need be), where runBatch steps the skid window on the reference
 //     path. Blocks themselves never deliver events.
@@ -45,32 +44,19 @@ import (
 // hold all three engines (Step, fast interpreter, translated) to the same
 // machine state, event streams, and experiment bytes.
 
-// Backend selects the execution engine behind Run/RunFor.
+// Backend selects the execution engine behind Run/RunFor. It is not a
+// user-facing choice: every engine produces the same execution, and only
+// tests and benchmark gates select one.
 type Backend uint8
 
 const (
 	// BackendTranslated runs hot superblocks as translated threaded code
 	// and falls back to the batched interpreter elsewhere. The default.
 	BackendTranslated Backend = iota
-	// BackendFast is the event-horizon batched interpreter alone (the
-	// PR 4 fast path), without translation.
+	// BackendFast is the event-horizon batched interpreter alone, without
+	// translation.
 	BackendFast
 )
-
-// ParseBackend maps a user-facing backend name to a Backend. The empty
-// string selects the default (translated); every tool and job spec that
-// exposes a backend knob funnels through here so the names stay
-// consistent.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "translated":
-		return BackendTranslated, nil
-	case "fast":
-		return BackendFast, nil
-	default:
-		return BackendTranslated, fmt.Errorf("machine: unknown backend %q (want translated or fast)", s)
-	}
-}
 
 const (
 	// transHeatDefault is how many dispatcher visits a cold block entry
@@ -216,20 +202,6 @@ const (
 	opRegOff     uint8 = 1 << 7 // second operand is *rs2, not imm
 )
 
-// Per-site cache bit layout. A memory op's aux field packs its align
-// mask with the D$ and E$ way its address last hit; its prefix field
-// packs the static cycle prefix with the DTLB entry its page last used.
-// All are verified performance hints (see tinstr).
-const (
-	siteAlignMask  uint64 = 0xff
-	siteEWayShift         = 8
-	siteEWayMask   uint64 = 0xffffff << siteEWayShift
-	siteDWayShift         = 32
-	siteDWayMask   uint64 = 0xffffffff << siteDWayShift
-	siteTLBShift          = 32
-	sitePrefixMask uint64 = 1<<siteTLBShift - 1
-)
-
 // Instruction-fetch probe modes. Probes replicate runInner's fetch-line
 // check: the I$ is probed only when execution leaves the current fetch
 // line. Within a block every crossing is static except the entry.
@@ -243,23 +215,25 @@ const (
 // to register-file pointers and decode-time constants, or a standalone
 // fetch probe. The ops of a block sit in one contiguous slice, so the
 // dispatch loop streams them with no pointer chasing. Memory and probe
-// ops are self-modifying in one narrow sense: they cache the cache way
-// they last hit (a pure performance hint, verified by tag compare on
-// every use) so repeat hits retire inline without the full Access call.
+// ops are self-modifying in one narrow sense: they remember where they
+// last hit (pure performance hints, verified by tag compare on every use)
+// so repeat hits retire inline without the full lookup. A tinstr is
+// 64 bytes, one host cache line; hint fills the padding after op2.
 type tinstr struct {
 	kind uint8
 	op2  uint8
+	hint siteHint // tMem: the site's D$ way, E$ way and DTLB entry
 	rd   *int64
 	rs1  *int64
 	rs2  *int64
-	imm  int64  // immediate operand / branch or call target / probe way cache
-	aux  uint64 // branch fall-through PC; probe fetch line; mem align mask (low byte) + way cache (high bits)
+	imm  int64  // immediate operand / branch or call target
+	aux  uint64 // branch fall-through PC; probe fetch line; mem align mask
 	pc   uint64
 	// prefix is the block's static base-cost sum before this instruction,
 	// charged on a bail so a partial block costs exactly what the
 	// reference interpreter charged. Only trap-capable ops (tMem,
-	// tDivRem) can bail; for never-bailing ops that carry a folded fetch
-	// probe, the field is reused as the probe's I$ way cache.
+	// tDivRem) can bail; for fetch probes — standalone, or folded into a
+	// never-bailing op — the field is reused as the probe's I$ way cache.
 	prefix uint64
 }
 
@@ -518,7 +492,7 @@ func (b *tblock) exec(m *Machine, st *tstate) bool {
 				// ops read it as a cycle prefix, and never-bailing ops are
 				// the only probe carriers.
 				if !m.IC.WayHit(int(t.prefix), ppc, false) {
-					m.icFoldProbeSlow(t, ppc, st)
+					m.icProbeSlow(t, ppc, st)
 				}
 			}
 		}
@@ -744,14 +718,14 @@ func (b *tblock) exec(m *Machine, st *tstate) bool {
 		case tProbeFirst:
 			if t.aux != st.fetchLine {
 				st.fetchLine = t.aux
-				if !m.IC.WayHit(int(t.imm), t.pc, false) {
-					m.icProbeSlow(t, st)
+				if !m.IC.WayHit(int(t.prefix), t.pc, false) {
+					m.icProbeSlow(t, t.pc, st)
 				}
 			}
 		case tProbeAlways:
 			st.fetchLine = t.aux
-			if !m.IC.WayHit(int(t.imm), t.pc, false) {
-				m.icProbeSlow(t, st)
+			if !m.IC.WayHit(int(t.prefix), t.pc, false) {
+				m.icProbeSlow(t, t.pc, st)
 			}
 		}
 	}
@@ -778,7 +752,7 @@ func (b *tblock) exitAfter(m *Machine, st *tstate, t *tinstr) {
 	}
 	st.bailed = true
 	st.bailPC, st.bailNPC = next, next+isa.InstrBytes
-	st.cycles += t.prefix&sitePrefixMask + uint64(m.dec[(t.pc-TextBase)/isa.InstrBytes].Cost)
+	st.cycles += t.prefix + uint64(m.dec[(t.pc-TextBase)/isa.InstrBytes].Cost)
 	b.bailStats(m, st, t.pc+isa.InstrBytes)
 }
 
@@ -804,33 +778,18 @@ func (b *tblock) bailStats(m *Machine, st *tstate, end uint64) {
 	}
 }
 
-// icProbeSlow is the fetch probe's fallback when the probe site's way
-// cache fails: the full I$ access, after which the site re-learns where
-// its (static) line now lives. A probe site always probes the same line,
-// so the way cache only goes stale when a replacement moves it.
+// icProbeSlow is a fetch probe's fallback, standalone or folded into
+// op t, when the way cache in t.prefix fails: the full I$ probe of pc,
+// after which the site re-learns where its (static) line now lives. A
+// probe site always probes the same line, so the way cache only goes
+// stale when a replacement moves it.
 //
 //go:noinline
-func (m *Machine) icProbeSlow(t *tinstr, st *tstate) {
-	hit, _ := m.IC.AccessFull(t.pc, false, true)
-	t.imm = int64(m.IC.LastWay())
-	if !hit {
-		m.stats.ICMisses++
-		st.cycles += uint64(m.Cfg.ICMissStall)
-		m.count(hwc.EvICMiss, 1, t.pc, 0, false)
-	}
-}
-
-// icFoldProbeSlow is icProbeSlow for a probe folded into a never-bailing
-// op, whose way cache lives in the op's (otherwise unread) prefix field.
-//
-//go:noinline
-func (m *Machine) icFoldProbeSlow(t *tinstr, ppc uint64, st *tstate) {
-	hit, _ := m.IC.AccessFull(ppc, false, true)
+func (m *Machine) icProbeSlow(t *tinstr, pc uint64, st *tstate) {
+	hit, _ := m.IC.AccessFull(pc, false, true)
 	t.prefix = uint64(m.IC.LastWay())
 	if !hit {
-		m.stats.ICMisses++
-		st.cycles += uint64(m.Cfg.ICMissStall)
-		m.count(hwc.EvICMiss, 1, ppc, 0, false)
+		st.cycles += m.icMiss(pc)
 	}
 }
 
@@ -861,9 +820,7 @@ func (m *Machine) execDivRem(t *tinstr, st *tstate) bool {
 		if probe == probeAlways || line != st.fetchLine {
 			st.fetchLine = line
 			if hit, _ := m.IC.AccessFull(t.pc, false, true); !hit {
-				m.stats.ICMisses++
-				fs = uint64(m.Cfg.ICMissStall)
-				m.count(hwc.EvICMiss, 1, t.pc, 0, false)
+				fs = m.icMiss(t.pc)
 			}
 		}
 	}
@@ -885,13 +842,11 @@ func (m *Machine) execDivRem(t *tinstr, st *tstate) bool {
 	return true
 }
 
-// execMem executes a translated memory access: runInner's access() with
-// the fetch probe folded in, the trap checks turned into bails, and the
-// cache hierarchy entered through the specialized stall paths below
-// instead of the Result-returning API. Armed events count through the
-// same count() calls, in the same order, as the reference path;
-// simulation state updates — DTLB, D$/E$, statistics — are exactly the
-// reference path's.
+// execMem executes a translated memory access: the fetch probe folded
+// in, the trap checks turned into bails, and the DTLB hit on the site's
+// hint followed by a D$ hit retired inline (a failed probe mutates
+// nothing). Everything else goes through access, the routine every engine
+// shares, with the site's hint.
 func (m *Machine) execMem(t *tinstr, st *tstate) bool {
 	op2 := t.op2
 	var fs uint64
@@ -900,9 +855,7 @@ func (m *Machine) execMem(t *tinstr, st *tstate) bool {
 		if probe == probeAlways || line != st.fetchLine {
 			st.fetchLine = line
 			if hit, _ := m.IC.AccessFull(t.pc, false, true); !hit {
-				m.stats.ICMisses++
-				fs = uint64(m.Cfg.ICMissStall)
-				m.count(hwc.EvICMiss, 1, t.pc, 0, false)
+				fs = m.icMiss(t.pc)
 			}
 		}
 	}
@@ -912,8 +865,8 @@ func (m *Machine) execMem(t *tinstr, st *tstate) bool {
 	}
 	addr := uint64(*t.rs1 + b)
 	cl := isa.Class(op2 & opClassMask)
-	if cl != isa.ClPrefetch && addr&t.aux&siteAlignMask != 0 {
-		return st.fail(t.pc, op2&opDelay != 0, t.prefix&sitePrefixMask) // Misaligned
+	if cl != isa.ClPrefetch && addr&t.aux != 0 {
+		return st.fail(t.pc, op2&opDelay != 0, t.prefix) // Misaligned
 	}
 	seg, pageSize := m.segment(addr)
 	if seg == SegNone {
@@ -921,171 +874,64 @@ func (m *Machine) execMem(t *tinstr, st *tstate) bool {
 			st.cycles += fs
 			return true // prefetches never fault, touch no TLB or cache
 		}
-		return st.fail(t.pc, op2&opDelay != 0, t.prefix&sitePrefixMask) // Segv
+		return st.fail(t.pc, op2&opDelay != 0, t.prefix) // Segv
 	}
 	stall := fs
-	// Per-site DTLB cache (prefix high bits): most sites re-translate the
-	// page they used last time; the entry index is verified against the
-	// live entry, so a stale hint just falls back to the full lookup.
-	pageBase := addr &^ (pageSize - 1)
-	if !m.DTLB.EntryHit(int(t.prefix>>siteTLBShift), pageBase) {
-		if !m.DTLB.Lookup(pageBase, pageSize) {
-			m.stats.DTLBMisses++
-			stall += tlb.MissPenaltyCycles
-			m.count(hwc.EvDTLBMiss, 1, t.pc, addr, true)
-		}
-		t.prefix = t.prefix&sitePrefixMask | uint64(uint32(m.DTLB.LastIdx()))<<siteTLBShift
-	}
-	// The inline MRU-way probe absorbs D$ hits without the Access call,
-	// exactly like the interpreter's HitMRU fast path (a failed probe
-	// mutates nothing, and the miss paths below re-probe through Access,
-	// so state evolution is identical either way).
-	d := m.Hier.D
+	// The hit check is repeated per class so each inlined probe gets a
+	// constant write flag; this is the hottest code of a translated run.
+	h := &t.hint
+	tlbHit := m.DTLB.EntryHit(int(h.tlb), addr&^(pageSize-1))
+	d := m.DC
 	switch cl {
 	case isa.ClLdB:
-		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			stall += m.loadMissStall(t, addr)
+		if !tlbHit || !d.HitMRU(addr, false) && !d.WayHit(int(h.dway), addr, false) {
+			stall += m.access(cl, t.pc, addr, pageSize, h, tlbHit)
 		}
 		*t.rd = int64(int8(m.Mem.Page(addr)[addr&mem.HostPageMask]))
 	case isa.ClLdUB:
-		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			stall += m.loadMissStall(t, addr)
+		if !tlbHit || !d.HitMRU(addr, false) && !d.WayHit(int(h.dway), addr, false) {
+			stall += m.access(cl, t.pc, addr, pageSize, h, tlbHit)
 		}
 		*t.rd = int64(m.Mem.Page(addr)[addr&mem.HostPageMask])
 	case isa.ClLdW:
-		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			stall += m.loadMissStall(t, addr)
+		if !tlbHit || !d.HitMRU(addr, false) && !d.WayHit(int(h.dway), addr, false) {
+			stall += m.access(cl, t.pc, addr, pageSize, h, tlbHit)
 		}
 		*t.rd = int64(int32(binary.LittleEndian.Uint32(m.Mem.Page(addr)[addr&mem.HostPageMask:])))
 	case isa.ClLdX:
-		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			stall += m.loadMissStall(t, addr)
+		if !tlbHit || !d.HitMRU(addr, false) && !d.WayHit(int(h.dway), addr, false) {
+			stall += m.access(cl, t.pc, addr, pageSize, h, tlbHit)
 		}
 		*t.rd = int64(binary.LittleEndian.Uint64(m.Mem.Page(addr)[addr&mem.HostPageMask:]))
 	case isa.ClStB:
-		if !d.HitMRU(addr, true) && !d.WayHit(int(t.aux>>siteDWayShift), addr, true) {
-			stall += m.storeMissStall(t, addr)
+		if !tlbHit || !d.HitMRU(addr, true) && !d.WayHit(int(h.dway), addr, true) {
+			stall += m.access(cl, t.pc, addr, pageSize, h, tlbHit)
 		}
 		m.Mem.Page(addr)[addr&mem.HostPageMask] = uint8(*t.rd)
 	case isa.ClStW:
-		if !d.HitMRU(addr, true) && !d.WayHit(int(t.aux>>siteDWayShift), addr, true) {
-			stall += m.storeMissStall(t, addr)
+		if !tlbHit || !d.HitMRU(addr, true) && !d.WayHit(int(h.dway), addr, true) {
+			stall += m.access(cl, t.pc, addr, pageSize, h, tlbHit)
 		}
 		binary.LittleEndian.PutUint32(m.Mem.Page(addr)[addr&mem.HostPageMask:], uint32(*t.rd))
 	case isa.ClStX:
-		if !d.HitMRU(addr, true) && !d.WayHit(int(t.aux>>siteDWayShift), addr, true) {
-			stall += m.storeMissStall(t, addr)
+		if !tlbHit || !d.HitMRU(addr, true) && !d.WayHit(int(h.dway), addr, true) {
+			stall += m.access(cl, t.pc, addr, pageSize, h, tlbHit)
 		}
 		binary.LittleEndian.PutUint64(m.Mem.Page(addr)[addr&mem.HostPageMask:], uint64(*t.rd))
 	default: // prefetch
-		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			m.prefetchFill(t, addr)
+		if !tlbHit || !d.HitMRU(addr, false) && !d.WayHit(int(h.dway), addr, false) {
+			stall += m.access(cl, t.pc, addr, pageSize, h, tlbHit)
 		}
 	}
 	st.cycles += stall
 	return true
 }
 
-// loadMissStall is Hierarchy.Load plus access()'s statistics and count()
-// updates for a load whose MRU-way probe missed: no Result struct
-// crosses the call. Access re-runs the same MRU probe first — the failed
-// probe above mutated nothing — so state evolution is identical to the
-// interpreter's HitMRU-then-Load sequence.
-func (m *Machine) loadMissStall(t *tinstr, addr uint64) uint64 {
-	h := m.Hier
-	hit, _ := h.D.AccessFull(addr, false, true)
-	t.aux = t.aux&^siteDWayMask | uint64(uint32(h.D.LastWay()))<<siteDWayShift
-	if hit {
-		return 0
-	}
-	m.stats.DCRdMisses++
-	m.count(hwc.EvDCRdMiss, 1, t.pc, addr, true)
-	m.stats.ECRefs++
-	m.count(hwc.EvECRef, 1, t.pc, addr, true)
-	// Per-site E$ way cache (aux bits 8..31): a striding site revisits
-	// the same (long) E$ line for many consecutive D$ misses.
-	ehit, wb := true, false
-	if !h.E.WayHit(int(t.aux&siteEWayMask)>>siteEWayShift, addr, false) {
-		ehit, wb = h.E.AccessFull(addr, false, true)
-		t.aux = t.aux&^siteEWayMask | uint64(uint32(h.E.LastWay()))<<siteEWayShift&siteEWayMask
-	}
-	var stall int
-	if ehit {
-		stall = h.Costs.EHitStall
-	} else {
-		m.stats.ECRdMisses++
-		m.count(hwc.EvECRdMiss, 1, t.pc, addr, true)
-		stall = h.Costs.MemStall
-	}
-	if wb {
-		stall += h.Costs.WritebackStall
-	}
-	h.ECStallCycles += uint64(stall)
-	if stall > 0 {
-		m.stats.ECStallCycles += uint64(stall)
-		m.count(hwc.EvECStall, uint64(stall), t.pc, addr, true)
-	}
-	return uint64(stall)
-}
-
-// storeMissStall mirrors Hierarchy.Store the same way: write-through
-// no-write-allocate D$, store hits absorbed by the write cache (no E$
-// reference), store misses write-allocating in E$. E$ misses on stores
-// count no ECRdMiss, matching Result's loads-only flag.
-func (m *Machine) storeMissStall(t *tinstr, addr uint64) uint64 {
-	h := m.Hier
-	hit, _ := h.D.AccessFull(addr, true, false)
-	if hit {
-		// No-write-allocate: only a hit leaves the line resident, so only
-		// a hit refreshes the site's way cache.
-		t.aux = t.aux&^siteDWayMask | uint64(uint32(h.D.LastWay()))<<siteDWayShift
-		return 0
-	}
-	m.stats.ECRefs++
-	m.count(hwc.EvECRef, 1, t.pc, addr, true)
-	ehit, wb := true, false
-	if !h.E.WayHit(int(t.aux&siteEWayMask)>>siteEWayShift, addr, true) {
-		ehit, wb = h.E.AccessFull(addr, true, true)
-		t.aux = t.aux&^siteEWayMask | uint64(uint32(h.E.LastWay()))<<siteEWayShift&siteEWayMask
-	}
-	var stall int
-	if !ehit {
-		stall = h.Costs.StoreMissStall
-	}
-	if wb {
-		stall += h.Costs.WritebackStall
-	}
-	h.ECStallCycles += uint64(stall)
-	if stall > 0 {
-		m.stats.ECStallCycles += uint64(stall)
-		m.count(hwc.EvECStall, uint64(stall), t.pc, addr, true)
-	}
-	return uint64(stall)
-}
-
-// prefetchFill mirrors Hierarchy.Prefetch: fills both levels, never
-// stalls, counts an E$ reference on a D$ miss and nothing else.
-func (m *Machine) prefetchFill(t *tinstr, addr uint64) {
-	h := m.Hier
-	hit, _ := h.D.AccessFull(addr, false, true)
-	t.aux = t.aux&^siteDWayMask | uint64(uint32(h.D.LastWay()))<<siteDWayShift
-	if hit {
-		return
-	}
-	m.stats.ECRefs++
-	m.count(hwc.EvECRef, 1, t.pc, addr, true)
-	if !h.E.WayHit(int(t.aux&siteEWayMask)>>siteEWayShift, addr, false) {
-		h.E.AccessFull(addr, false, true)
-		t.aux = t.aux&^siteEWayMask | uint64(uint32(h.E.LastWay()))<<siteEWayShift&siteEWayMask
-	}
-}
-
 // translateBlock compiles the superblock entered at instruction index
 // idx, or returns noTransBlock when no block can start there.
 func (m *Machine) translateBlock(idx int) *tblock {
 	b := &tblock{entry: TextBase + uint64(idx)*isa.InstrBytes}
-	stallMax := uint64(m.Cfg.Costs.EHitStall+m.Cfg.Costs.MemStall+
-		m.Cfg.Costs.StoreMissStall+m.Cfg.Costs.WritebackStall) + tlb.MissPenaltyCycles
+	stallMax := m.Cfg.Costs.MaxStall() + tlb.MissPenaltyCycles
 	prevLine := ^uint64(0)
 	i := idx
 	for {

@@ -209,7 +209,7 @@ func (s *Scheduler) collectJob(ctx context.Context, spec *JobSpec) (*collect.Res
 	if err != nil {
 		return nil, err
 	}
-	return core.CollectRunContextJob(ctx, prog, input, cfg, spec.Clock, spec.ClockIntervalCycles, spec.Counters, spec.Provenance, spec.Backend)
+	return core.CollectRunContextProv(ctx, prog, input, cfg, spec.Clock, spec.ClockIntervalCycles, spec.Counters, spec.Provenance)
 }
 
 // Submit validates and queues a job, returning it immediately.

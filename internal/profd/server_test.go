@@ -235,6 +235,16 @@ func TestServerErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown spec field = %d, want 400", resp.StatusCode)
 	}
+	// The retired engine knob is an unknown field like any other.
+	resp, err = http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"program":"mcf","clock":true,"backend":"fast"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("spec with retired backend field = %d, want 400", resp.StatusCode)
+	}
 	// Unknown job.
 	if code := getJSON(t, ts.URL+"/jobs/job-42", nil); code != http.StatusNotFound {
 		t.Errorf("GET unknown job = %d, want 404", code)

@@ -163,6 +163,9 @@ func (s *Store) loadIndex() error {
 	if err != nil {
 		return fmt.Errorf("profd: reading index: %w", err)
 	}
+	// Unknown keys are ignored, so indexes written by older versions —
+	// whose records may carry since-retired fields such as "backend" —
+	// keep reopening.
 	var recs []*ExpRecord
 	if err := json.Unmarshal(b, &recs); err != nil {
 		return fmt.Errorf("profd: corrupted index %s: %w", filepath.Join(s.root, indexFile), err)

@@ -260,6 +260,42 @@ func TestOpenStoreCorruptIndex(t *testing.T) {
 	}
 }
 
+// TestOpenStoreToleratesRetiredFields: an index written when job specs
+// still carried an engine choice — records with a "backend" key —
+// reopens with every record intact.
+func TestOpenStoreToleratesRetiredFields(t *testing.T) {
+	expA, _ := testExperiments(t)
+	root := t.TempDir()
+	store, err := OpenStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa := specA(32)
+	rec, err := store.Put(&sa, expA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := filepath.Join(root, indexFile)
+	b, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(b), `"id":`, `"backend": "fast", "id":`, 1)
+	if old == string(b) {
+		t.Fatal("index has no record to rewrite")
+	}
+	if err := os.WriteFile(idx, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store2, err := OpenStore(root)
+	if err != nil {
+		t.Fatalf("reopening an index with retired fields: %v", err)
+	}
+	if got, ok := store2.Get(rec.ID); !ok || got.Hash != rec.Hash || got.Dir != rec.Dir {
+		t.Errorf("record %s lost or changed across reopen: %+v, want %+v", rec.ID, got, rec)
+	}
+}
+
 func TestOpenStoreDropsVanishedDirs(t *testing.T) {
 	expA, _ := testExperiments(t)
 	root := t.TempDir()
