@@ -9,14 +9,13 @@
 //	    -pools renders allocation-site split-pool advice instead, which
 //	    needs experiments collected with provenance enabled
 //
-//	dsadvise loop [-workload mcf] [-trips 1200] [-papers 2000] [-seed S]
-//	              [-layout paper] [-variant baseline] [-machine study]
-//	              [-window 16] [-minshare 0.05] [-n 20] [-o FILE]
+//	dsadvise loop [-workload mcf] [-size N] [-seed S] [-layout L]
+//	              [-machine study] [-window 16] [-minshare 0.05] [-n 20] [-o FILE]
 //	    full loop on a bundled workload (mcf or nbody): profile a
 //	    baseline, derive recommendations, re-run each with the layout
 //	    override applied, and report measured accepted/rejected verdicts;
-//	    -trips/-layout size the MCF instance, -papers/-variant the
-//	    n-body one
+//	    -size and -layout default to the workload's (1200 trips and
+//	    paper for mcf, 2000 papers and baseline for nbody)
 //
 // Exit status: 0 on success, 1 on runtime failure, 2 on usage errors
 // (unknown command, bad token) — erprint's conventions.
@@ -36,9 +35,8 @@ import (
 	"dsprof/internal/core"
 	"dsprof/internal/experiment"
 	"dsprof/internal/machine"
-	"dsprof/internal/mcf"
-	"dsprof/internal/nbody"
 	"dsprof/internal/version"
+	"dsprof/internal/workload"
 )
 
 func main() {
@@ -67,9 +65,8 @@ func run() error {
 func usage() error {
 	fmt.Fprintln(os.Stderr, `usage: dsadvise {advice|loop} [flags]
   advice [-pools] [-n 20] [-o FILE] expt.er...           advise from existing experiments
-  loop   [-workload mcf|nbody] [-seed S] [-machine M]    closed loop on a bundled workload
-         [-trips N] [-layout L]                          (MCF instance size and layout)
-         [-papers N] [-variant V]                        (n-body size and link encoding)
+  loop   [-workload mcf|nbody] [-size N] [-seed S]     closed loop on a bundled workload
+         [-layout L] [-machine M]
          [-window W] [-minshare F] [-n 20] [-o FILE]
   -version                                               print the suite version`)
 	return cli.Usagef("unknown or missing subcommand")
@@ -138,12 +135,10 @@ func runAdvice(args []string) error {
 
 func runLoop(args []string) error {
 	fs := flag.NewFlagSet("loop", flag.ContinueOnError)
-	workload := fs.String("workload", "mcf", "bundled workload: mcf or nbody")
-	trips := fs.Int("trips", 1200, "MCF instance size (timetabled trips)")
-	papers := fs.Int("papers", 2000, "n-body instance size (papers)")
-	variant := fs.String("variant", "baseline", "n-body link encoding: baseline or compressed")
-	seed := fs.Uint64("seed", 20030717, "instance seed")
-	layout := fs.String("layout", "paper", "baseline struct layout: paper or optimized")
+	name := fs.String("workload", "mcf", "bundled workload: "+strings.Join(workload.Names(), " or "))
+	size := fs.Int("size", 0, "instance size in the workload's unit (0: its default)")
+	seed := fs.Uint64("seed", workload.DefaultSeed, "instance seed")
+	layout := fs.String("layout", "", "baseline struct layout (default: the workload's first)")
 	machineName := fs.String("machine", "study", "machine configuration: study, scaled or default")
 	window := fs.Int("window", 16, "co-access affinity window (events)")
 	minShare := fs.Float64("minshare", 0.05, "minimum metric share for a struct to be considered")
@@ -168,46 +163,15 @@ func runLoop(args []string) error {
 	}
 	opts := advisor.Options{Window: *window, MinShare: *minShare, MaxRecs: *topN}
 
-	var run *core.AdviseRun
-	var err error
-	switch *workload {
-	case "mcf":
-		var l mcf.Layout
-		switch *layout {
-		case "paper":
-			l = mcf.LayoutPaper
-		case "optimized":
-			l = mcf.LayoutOptimized
-		default:
-			return cli.Usagef("unknown layout %q (paper or optimized)", *layout)
-		}
-		run, err = core.AdviseMCF(context.Background(), core.AdviseParams{
-			Study: core.StudyParams{
-				Trips: *trips, Seed: *seed, Layout: l, HWCProf: true, Machine: &cfg,
-			},
-			Intervals: core.ScaledIntervals(*trips),
-			Advisor:   opts,
-		})
-	case "nbody":
-		var v nbody.Variant
-		switch *variant {
-		case "baseline":
-			v = nbody.VariantBaseline
-		case "compressed":
-			v = nbody.VariantCompressed
-		default:
-			return cli.Usagef("unknown variant %q (baseline or compressed)", *variant)
-		}
-		run, err = core.AdviseNBody(context.Background(), core.NBodyAdviseParams{
-			Study: core.NBodyStudyParams{
-				Papers: *papers, Seed: *seed, Variant: v, HWCProf: true, Machine: &cfg,
-			},
-			Intervals: core.NBodyIntervals(*papers),
-			Advisor:   opts,
-		})
-	default:
-		return cli.Usagef("unknown workload %q (mcf or nbody)", *workload)
+	w, err := workload.Lookup(*name)
+	if err != nil {
+		return cli.UsageError{Err: err}
 	}
+	spec := workload.Spec{Workload: w, Layout: *layout, Size: *size, Seed: *seed}
+	if _, _, err := spec.Resolve(); err != nil {
+		return cli.UsageError{Err: err}
+	}
+	run, err := core.Advise(context.Background(), core.AdviseParams{Spec: spec, Machine: &cfg, Advisor: opts})
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ import (
 	"dsprof/internal/core"
 	"dsprof/internal/experiment"
 	"dsprof/internal/machine"
-	"dsprof/internal/mcf"
+	"dsprof/internal/workload"
 )
 
 // adviseSmoke runs the full closed loop once per test binary: MCF at
@@ -25,22 +25,22 @@ var smokeOnce sync.Once
 var smokeRun *core.AdviseRun
 var smokeErr error
 
-// smokeStudy is the MCF study configuration of the smoke loop.
-func smokeStudy() core.StudyParams {
+// smokeSpec is the MCF instance of the smoke loop; it runs on the
+// scaled machine.
+var smokeSpec = workload.Spec{Workload: workload.MCF, Layout: "paper", Size: 120, Seed: 20030717}
+
+func smokeMachine() *machine.Config {
 	cfg := machine.ScaledConfig()
-	return core.StudyParams{
-		Trips: 120, Seed: 20030717, Layout: mcf.LayoutPaper,
-		HWCProf: true, Machine: &cfg,
-	}
+	return &cfg
 }
 
 func adviseSmoke(t *testing.T) *core.AdviseRun {
 	t.Helper()
 	smokeOnce.Do(func() {
-		smokeRun, smokeErr = core.AdviseMCF(context.Background(), core.AdviseParams{
-			Study:     smokeStudy(),
-			Intervals: core.ScaledIntervals(120),
-			Advisor:   advisor.Options{MaxRecs: 10},
+		smokeRun, smokeErr = core.Advise(context.Background(), core.AdviseParams{
+			Spec:    smokeSpec,
+			Machine: smokeMachine(),
+			Advisor: advisor.Options{MaxRecs: 10},
 		})
 	})
 	if smokeErr != nil {
@@ -141,7 +141,11 @@ func validateWith(t *testing.T, ctx context.Context, procs int) *advisor.Validat
 	run := adviseSmoke(t)
 	old := runtime.GOMAXPROCS(procs)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	v, err := advisor.Validate(ctx, core.MCFTarget(smokeStudy()), run.Advice, run.Baseline)
+	target, err := core.Target(smokeSpec, smokeMachine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := advisor.Validate(ctx, target, run.Advice, run.Baseline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,8 @@ import (
 
 	"dsprof/internal/advisor"
 	"dsprof/internal/core"
+	"dsprof/internal/nbody"
+	"dsprof/internal/workload"
 )
 
 // The n-body rediscovery loop runs once per test binary at the bundled
@@ -23,11 +25,9 @@ var nbodyErr error
 func nbodyAdvise(t *testing.T) *core.AdviseRun {
 	t.Helper()
 	nbodyOnce.Do(func() {
-		p := core.DefaultNBodyStudy()
-		nbodyRun, nbodyErr = core.AdviseNBody(context.Background(), core.NBodyAdviseParams{
-			Study:     p,
-			Intervals: core.NBodyIntervals(p.Papers),
-			Advisor:   advisor.Options{MaxRecs: 10},
+		nbodyRun, nbodyErr = core.Advise(context.Background(), core.AdviseParams{
+			Spec:    workload.Spec{Workload: workload.NBody},
+			Advisor: advisor.Options{MaxRecs: 10},
 		})
 	})
 	if nbodyErr != nil {
@@ -45,8 +45,8 @@ func TestNBodyRediscovery(t *testing.T) {
 	run := nbodyAdvise(t)
 
 	// The baseline run must be the real workload, not a degenerate one.
-	if run.NBody == nil || run.NBody.Status != 0 {
-		t.Fatalf("baseline n-body output: %+v", run.NBody)
+	if out, err := nbody.ParseOutput(run.Output); err != nil || out.Status != 0 {
+		t.Fatalf("baseline n-body output %v: %+v, %v", run.Output, out, err)
 	}
 
 	// Exact advice assertions: a split of struct lnode whose hot set is

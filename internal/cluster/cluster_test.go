@@ -170,13 +170,13 @@ var nbodyReportArgs = map[string]string{
 // reports render over the cluster.
 func clusterSpecs() []profd.JobSpec {
 	return []profd.JobSpec{
-		{Program: profd.ProgramMCF, Trips: 100, Clock: true, Provenance: true,
+		{Program: "mcf", Trips: 100, Clock: true, Provenance: true,
 			Counters: "+ecstall,10007,+ecrm,503", MachineConfig: "scaled"},
-		{Program: profd.ProgramMCF, Trips: 100, Provenance: true,
+		{Program: "mcf", Trips: 100, Provenance: true,
 			Counters: "+ecref,997,+dtlbm,251", MachineConfig: "scaled"},
-		{Program: profd.ProgramMCF, Trips: 130, Clock: true, Provenance: true,
+		{Program: "mcf", Trips: 130, Clock: true, Provenance: true,
 			Counters: "+ecstall,10007,+ecrm,503", MachineConfig: "scaled"},
-		{Program: profd.ProgramNBody, Trips: 150, Clock: true, Provenance: true,
+		{Program: "nbody", Trips: 150, Clock: true, Provenance: true,
 			Counters: "+ecstall,2003,+ecrm,251", MachineConfig: "scaled"},
 	}
 }

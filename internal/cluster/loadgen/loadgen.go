@@ -132,7 +132,7 @@ func specs(n, trips int) []profd.JobSpec {
 	out := make([]profd.JobSpec, n)
 	for i := range out {
 		s := profd.JobSpec{
-			Program:       profd.ProgramMCF,
+			Program:       "mcf",
 			Trips:         trips + 3*(i/2),
 			MachineConfig: "scaled",
 		}

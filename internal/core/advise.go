@@ -9,140 +9,80 @@ import (
 	"dsprof/internal/analyzer"
 	"dsprof/internal/cc"
 	"dsprof/internal/machine"
-	"dsprof/internal/mcf"
-	"dsprof/internal/nbody"
+	"dsprof/internal/workload"
 )
 
 // advise.go is the closed-loop advisor harness shared by cmd/dsadvise
 // and internal/profd: profile a baseline, run the data-layout advisor
 // over it, and validate every recommendation with a measured re-run.
-// Two bundled workloads plug into the same loop: the MCF network
-// simplex (§3's case study) and the n-body force-layout kernel.
+// Every bundled workload (internal/workload) plugs into the same loop.
 
-// MCFTarget builds the advisor's rebuild-and-re-run target for an MCF
-// study configuration.
-func MCFTarget(p StudyParams) advisor.Target {
-	cfg := StudyMachine()
-	if p.Machine != nil {
-		cfg = *p.Machine
+// Target builds the advisor's rebuild-and-re-run target for a workload
+// instance, compiled with -xhwcprof, on cfg (nil: the study machine).
+func Target(spec workload.Spec, cfg *machine.Config) (advisor.Target, error) {
+	spec, l, err := spec.Resolve()
+	if err != nil {
+		return advisor.Target{}, err
+	}
+	c := StudyMachine()
+	if cfg != nil {
+		c = *cfg
 	}
 	return advisor.Target{
-		Sources: []cc.Source{{Name: "mcf.mc", Text: mcf.Source(p.Layout)}},
-		Options: cc.Options{
-			Name:         "mcf-" + p.Layout.String(),
-			HWCProf:      p.HWCProf,
-			PageSizeHeap: p.PageSizeHeap,
-		},
-		Input:   mcf.Generate(mcf.DefaultGenParams(p.Trips, p.Seed)).Encode(),
-		Machine: &cfg,
-	}
+		Sources: l.Sources(),
+		Options: cc.Options{Name: l.Program, HWCProf: true},
+		Input:   spec.Workload.Generate(spec.Size, spec.Seed),
+		Machine: &c,
+	}, nil
 }
 
-// ScaledIntervals picks baseline overflow intervals matched to the run
-// length: paper-scale instances use the paper's intervals, smoke-scale
-// instances use proportionally smaller primes so even a trips≈100 run
-// yields enough events to rank members.
-func ScaledIntervals(trips int) PaperIntervals {
-	if trips >= 600 {
-		return PaperIntervals{}
-	}
-	return PaperIntervals{ECStall: 20011, ECRdMiss: 1009, ECRef: 4001, DTLBMiss: 503}
-}
+// NBodyIntervals picks overflow intervals for an n-body baseline of the
+// given size (the n-body entry of the workload table).
+func NBodyIntervals(papers int) PaperIntervals { return workload.NBody.Intervals(papers) }
 
-// NBodyStudyParams configure one n-body profiling study.
-type NBodyStudyParams struct {
-	Papers  int
-	Seed    uint64
-	Variant nbody.Variant
-	// HWCProf disables -xhwcprof when false.
-	HWCProf bool
-	Machine *machine.Config
-}
-
-// DefaultNBodyStudy returns the standard scaled n-body study: a graph
-// whose node array is ~36× the study machine's D$, so the force loop's
-// member accesses dominate the miss profile the way MCF's node walk
-// does in §3.1.
-func DefaultNBodyStudy() NBodyStudyParams {
-	return NBodyStudyParams{Papers: 2000, Seed: 20030717, Variant: nbody.VariantBaseline, HWCProf: true}
-}
-
-// NBodyTarget builds the advisor's rebuild-and-re-run target for an
-// n-body study configuration.
-func NBodyTarget(p NBodyStudyParams) advisor.Target {
-	cfg := StudyMachine()
-	if p.Machine != nil {
-		cfg = *p.Machine
-	}
-	return advisor.Target{
-		Sources: nbody.Source(p.Variant),
-		Options: cc.Options{
-			Name:    "nbody-" + p.Variant.String(),
-			HWCProf: p.HWCProf,
-		},
-		Input:   nbody.Generate(nbody.DefaultGenParams(p.Papers, p.Seed)).Encode(),
-		Machine: &cfg,
-	}
-}
-
-// NBodyIntervals picks overflow intervals for an n-body baseline: the
-// kernel is an order of magnitude shorter than a scaled MCF run, so
-// sub-paper instances use proportionally smaller primes.
-func NBodyIntervals(papers int) PaperIntervals {
-	if papers >= 10000 {
-		return PaperIntervals{}
-	}
-	return PaperIntervals{ECStall: 2003, ECRdMiss: 251, ECRef: 1009, DTLBMiss: 127, ClockTick: 90001}
-}
-
-// AdviseParams configure one closed advisor loop.
+// AdviseParams configure one closed advisor loop. The baseline is
+// collected at the workload's intervals for the instance size.
 type AdviseParams struct {
-	Study     StudyParams
-	Intervals PaperIntervals // baseline collection intervals
-	Advisor   advisor.Options
+	Spec    workload.Spec
+	Machine *machine.Config // nil: the study machine
+	Advisor advisor.Options
 }
 
-// NBodyAdviseParams configure one closed advisor loop on the n-body
-// workload.
-type NBodyAdviseParams struct {
-	Study     NBodyStudyParams
-	Intervals PaperIntervals
-	Advisor   advisor.Options
-}
-
-// AdviseRun is a completed loop: baseline profile, ranked advice, and
-// the measured validation of each recommendation. Exactly one of
-// Output (MCF) and NBody (n-body) is set, per the workload advised.
+// AdviseRun is a completed loop: baseline profile, the baseline run's
+// output vector, ranked advice, and the measured validation of each
+// recommendation.
 type AdviseRun struct {
 	Baseline *analyzer.Analyzer
-	Output   *mcf.Output
-	NBody    *nbody.Output
+	Output   []int64
 	Advice   *advisor.Advice
 	Valid    *advisor.Validation
 }
 
-// AdviseMCF runs the full closed loop on MCF: baseline two-experiment
-// profile (the paper's A+B collection), advisor analysis, and one
-// validation re-run per recommendation plus a combined run.
-func AdviseMCF(ctx context.Context, p AdviseParams) (*AdviseRun, error) {
-	if p.Study.Trips == 0 {
-		p.Study = DefaultStudy()
+// Advise runs the full closed loop on a workload: the paper's
+// two-experiment baseline profile, advisor analysis, and one validation
+// re-run per recommendation plus a combined run. Each workload's output
+// vector is layout invariant, so the output-identity gate applies
+// unchanged.
+func Advise(ctx context.Context, p AdviseParams) (*AdviseRun, error) {
+	spec, _, err := p.Spec.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	target := MCFTarget(p.Study)
+	target, err := Target(spec, p.Machine)
+	if err != nil {
+		return nil, err
+	}
 	prog, err := cc.Compile(target.Sources, target.Options)
 	if err != nil {
 		return nil, err
 	}
-	a, resA, _, err := ProfilePaperStyle(prog, target.Input, target.Machine, p.Intervals)
+	a, resA, _, err := ProfilePaperStyle(prog, target.Input, target.Machine, spec.Workload.Intervals(spec.Size))
 	if err != nil {
 		return nil, err
 	}
-	out, err := mcf.ParseOutput(resA.Machine.OutputLongs())
-	if err != nil {
-		return nil, err
-	}
-	if out.Status != 0 {
-		return nil, fmt.Errorf("mcf baseline run failed with status %d", out.Status)
+	out := resA.Machine.OutputLongs()
+	if err := spec.Workload.CheckOutput(out); err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	adv, err := advisor.Analyze(a, p.Advisor)
 	if err != nil {
@@ -153,41 +93,6 @@ func AdviseMCF(ctx context.Context, p AdviseParams) (*AdviseRun, error) {
 		return nil, err
 	}
 	return &AdviseRun{Baseline: a, Output: out, Advice: adv, Valid: valid}, nil
-}
-
-// AdviseNBody runs the same closed loop on the n-body workload:
-// two-experiment baseline profile, advisor analysis, and one validated
-// re-run per recommendation. The kernel's output vector is layout
-// invariant, so the output-identity gate applies unchanged.
-func AdviseNBody(ctx context.Context, p NBodyAdviseParams) (*AdviseRun, error) {
-	if p.Study.Papers == 0 {
-		p.Study = DefaultNBodyStudy()
-	}
-	target := NBodyTarget(p.Study)
-	prog, err := cc.Compile(target.Sources, target.Options)
-	if err != nil {
-		return nil, err
-	}
-	a, resA, _, err := ProfilePaperStyle(prog, target.Input, target.Machine, p.Intervals)
-	if err != nil {
-		return nil, err
-	}
-	out, err := nbody.ParseOutput(resA.Machine.OutputLongs())
-	if err != nil {
-		return nil, err
-	}
-	if out.Status != 0 {
-		return nil, fmt.Errorf("nbody baseline run failed with status %d", out.Status)
-	}
-	adv, err := advisor.Analyze(a, p.Advisor)
-	if err != nil {
-		return nil, err
-	}
-	valid, err := advisor.Validate(ctx, target, adv, a)
-	if err != nil {
-		return nil, err
-	}
-	return &AdviseRun{Baseline: a, NBody: out, Advice: adv, Valid: valid}, nil
 }
 
 // WriteReport renders the loop's report: the advice report (through the

@@ -18,6 +18,7 @@ import (
 	"dsprof/internal/collect"
 	"dsprof/internal/experiment"
 	"dsprof/internal/machine"
+	"dsprof/internal/workload"
 )
 
 // Compile builds an MC program with the paper's memory-profiling flags
@@ -91,7 +92,7 @@ func Analyze(exps ...*experiment.Experiment) (*analyzer.Analyzer, error) {
 // The overflow intervals are chosen from the run length budget: pass the
 // expected total cycles (0 picks conservative defaults).
 func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, intervals PaperIntervals) (*analyzer.Analyzer, *collect.Result, *collect.Result, error) {
-	iv := intervals.withDefaults()
+	iv := intervals.WithDefaults()
 	specsA, err := collect.ParseCounterSpec(fmt.Sprintf("+ecstall,%d,+ecrm,%d", iv.ECStall, iv.ECRdMiss))
 	if err != nil {
 		return nil, nil, nil, err
@@ -125,37 +126,8 @@ func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, in
 }
 
 // PaperIntervals are the overflow intervals for the four counters of the
-// paper's study. Zero fields get defaults suited to scaled runs (prime
-// intervals, like the paper).
-type PaperIntervals struct {
-	ECStall  uint64
-	ECRdMiss uint64
-	ECRef    uint64
-	DTLBMiss uint64
-	// ClockTick is the clock-profiling interval in cycles; the default is
-	// ~1 ms of the simulated clock (the paper's "high" rate), which gives
-	// scaled runs enough samples for stable CPU-time shares.
-	ClockTick uint64
-}
-
-func (p PaperIntervals) withDefaults() PaperIntervals {
-	if p.ECStall == 0 {
-		p.ECStall = 100003
-	}
-	if p.ECRdMiss == 0 {
-		p.ECRdMiss = 2003
-	}
-	if p.ECRef == 0 {
-		p.ECRef = 10007
-	}
-	if p.DTLBMiss == 0 {
-		p.DTLBMiss = 997
-	}
-	if p.ClockTick == 0 {
-		p.ClockTick = 900007 // ~1 ms at 900 MHz, prime
-	}
-	return p
-}
+// paper's study; zero fields get defaults suited to scaled runs.
+type PaperIntervals = workload.Intervals
 
 // RunOnce executes a program without profiling and returns the machine
 // (for timing comparisons such as the §3.3 speedup experiments).

@@ -240,11 +240,11 @@ func TestSplitObjectsPaperLayout(t *testing.T) {
 }
 
 func TestPaperIntervalDefaults(t *testing.T) {
-	iv := PaperIntervals{}.withDefaults()
+	iv := PaperIntervals{}.WithDefaults()
 	if iv.ECStall == 0 || iv.ECRdMiss == 0 || iv.ECRef == 0 || iv.DTLBMiss == 0 {
 		t.Error("defaults incomplete")
 	}
-	iv2 := PaperIntervals{ECStall: 5}.withDefaults()
+	iv2 := PaperIntervals{ECStall: 5}.WithDefaults()
 	if iv2.ECStall != 5 {
 		t.Error("explicit interval overridden")
 	}

@@ -5,6 +5,7 @@ import (
 
 	"dsprof/internal/cc"
 	"dsprof/internal/nbody"
+	"dsprof/internal/workload"
 )
 
 // TestNBodyVariantStudy is the ground-truth half of the §3.3-style
@@ -15,9 +16,9 @@ import (
 // same headroom from counter data alone is TestNBodyRediscovery (in
 // internal/advisor); EXPERIMENTS.md records the measured deltas.
 func TestNBodyVariantStudy(t *testing.T) {
-	p := DefaultNBodyStudy()
-	iv := NBodyIntervals(p.Papers)
-	input := nbody.Generate(nbody.DefaultGenParams(p.Papers, p.Seed)).Encode()
+	papers := workload.NBody.DefaultSize
+	iv := NBodyIntervals(papers)
+	input := nbody.Generate(nbody.DefaultGenParams(papers, workload.DefaultSeed)).Encode()
 	cfg := StudyMachine()
 
 	type counts struct{ ecstall, ecrm, ecref, dtlbm, dcrm int }

@@ -1,7 +1,7 @@
 package profd
 
 // advise.go runs the closed advisor loop as a service job: a baseline
-// two-experiment MCF collection through the ordinary scheduler (so the
+// two-experiment collection through the ordinary scheduler (so the
 // runs share the worker pool, builder memo and store with every other
 // job), then the data-layout advisor and its validation re-runs. The
 // validation experiments are stored like any other, so the before/after
@@ -19,9 +19,10 @@ import (
 	"dsprof/internal/advisor"
 	"dsprof/internal/analyzer"
 	"dsprof/internal/core"
+	"dsprof/internal/workload"
 )
 
-// AdviseSpec describes one advisor loop over the built-in MCF workload.
+// AdviseSpec describes one advisor loop over the bundled MCF workload.
 type AdviseSpec struct {
 	Trips         int     `json:"trips,omitempty"`  // instance size (default 1200)
 	Seed          uint64  `json:"seed,omitempty"`   // instance seed (default 20030717)
@@ -33,42 +34,25 @@ type AdviseSpec struct {
 	TimeoutSec    float64 `json:"timeoutSec,omitempty"`
 }
 
+// workload is the instance the loop advises on.
+func (s *AdviseSpec) workload() workload.Spec {
+	return workload.Spec{Workload: workload.MCF, Layout: s.Layout, Size: s.Trips, Seed: s.Seed}
+}
+
 // Validate checks the spec at the API boundary.
 func (s *AdviseSpec) Validate() error {
-	switch s.Layout {
-	case "", "paper", "optimized":
-	default:
-		return fmt.Errorf("profd: unknown mcf layout %q (want paper or optimized)", s.Layout)
+	if _, _, err := s.workload().Resolve(); err != nil {
+		return fmt.Errorf("profd: %w", err)
 	}
 	switch s.MachineConfig {
 	case "", "default", "scaled", "study":
 	default:
 		return fmt.Errorf("profd: unknown machine config %q (want default, scaled or study)", s.MachineConfig)
 	}
-	if s.Trips < 0 {
-		return fmt.Errorf("profd: negative trips %d", s.Trips)
-	}
 	if s.Window < 0 || s.MinShare < 0 || s.MinShare > 1 || s.MaxRecs < 0 || s.TimeoutSec < 0 {
 		return errors.New("profd: advise parameters must be non-negative (minShare at most 1)")
 	}
 	return nil
-}
-
-func (s *AdviseSpec) withDefaults() AdviseSpec {
-	d := *s
-	if d.Trips == 0 {
-		d.Trips = 1200
-	}
-	if d.Seed == 0 {
-		d.Seed = 20030717
-	}
-	if d.Layout == "" {
-		d.Layout = "paper"
-	}
-	if d.MaxRecs == 0 {
-		d.MaxRecs = 20
-	}
-	return d
 }
 
 // AdviseStatus is the API snapshot of one advise job.
@@ -212,7 +196,10 @@ func (ad *Adviser) run(j *AdviseJob) {
 }
 
 func (ad *Adviser) runLoop(j *AdviseJob) error {
-	spec := j.Spec.withDefaults()
+	spec := j.Spec
+	if spec.MaxRecs == 0 {
+		spec.MaxRecs = 20
+	}
 	ctx := context.Background()
 	if spec.TimeoutSec > 0 {
 		var cancel context.CancelFunc
@@ -222,18 +209,20 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 
 	// Baseline: the paper's two-experiment collection, as ordinary
 	// scheduler jobs.
-	iv := core.ScaledIntervals(spec.Trips)
-	countersA := fmt.Sprintf("+ecstall,%d,+ecrm,%d", ivDefault(iv.ECStall, 100003), ivDefault(iv.ECRdMiss, 2003))
-	countersB := fmt.Sprintf("+ecref,%d,+dtlbm,%d", ivDefault(iv.ECRef, 10007), ivDefault(iv.DTLBMiss, 997))
+	ws, _, err := spec.workload().Resolve()
+	if err != nil {
+		return err
+	}
+	iv := ws.Workload.Intervals(ws.Size).WithDefaults()
 	base := JobSpec{
-		Program: ProgramMCF, Layout: spec.Layout, Trips: spec.Trips, Seed: spec.Seed,
+		Program: ws.Workload.Name, Layout: ws.Layout, Trips: ws.Size, Seed: ws.Seed,
 		MachineConfig: spec.MachineConfig, TimeoutSec: spec.TimeoutSec,
 	}
 	specA, specB := base, base
 	specA.Clock = true
-	specA.ClockIntervalCycles = ivDefault(iv.ClockTick, 900007)
-	specA.Counters = countersA
-	specB.Counters = countersB
+	specA.ClockIntervalCycles = iv.ClockTick
+	specA.Counters = fmt.Sprintf("+ecstall,%d,+ecrm,%d", iv.ECStall, iv.ECRdMiss)
+	specB.Counters = fmt.Sprintf("+ecref,%d,+dtlbm,%d", iv.ECRef, iv.DTLBMiss)
 
 	// Submit both before waiting on either, so the scheduler's worker
 	// pool can run them together.
@@ -274,10 +263,10 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	j.advice = adv
 	j.mu.Unlock()
 
-	target := core.MCFTarget(core.StudyParams{
-		Trips: spec.Trips, Seed: spec.Seed, Layout: base.mcfLayout(), HWCProf: true,
-		Machine: machineFor(spec.MachineConfig),
-	})
+	target, err := core.Target(ws, machineFor(spec.MachineConfig))
+	if err != nil {
+		return err
+	}
 	valid, err := advisor.Validate(ctx, target, adv, a)
 	if err != nil {
 		return err
@@ -317,11 +306,4 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	j.report = buf.Bytes()
 	j.mu.Unlock()
 	return nil
-}
-
-func ivDefault(v, def uint64) uint64 {
-	if v == 0 {
-		return def
-	}
-	return v
 }

@@ -28,6 +28,8 @@ func TestAdvisorSpecValidate(t *testing.T) {
 		{"bad layout", AdviseSpec{Layout: "upside-down"}, false},
 		{"bad machine", AdviseSpec{MachineConfig: "warp"}, false},
 		{"negative trips", AdviseSpec{Trips: -1}, false},
+		{"trips above max", AdviseSpec{Trips: 1 << 62}, false},
+		{"nbody layout", AdviseSpec{Layout: "baseline"}, false},
 		{"minShare above 1", AdviseSpec{MinShare: 1.5}, false},
 		{"negative timeout", AdviseSpec{TimeoutSec: -1}, false},
 	}

@@ -1,7 +1,7 @@
 package profd
 
 // builder.go resolves job specs into runnable (program, input, machine)
-// triples, memoizing compiles and generated MCF instances so a sweep of
+// triples, memoizing compiles and generated workload instances so a sweep of
 // N jobs over one program compiles once and generates each distinct
 // instance once, no matter how many workers race on it.
 
@@ -15,8 +15,6 @@ import (
 	"dsprof/internal/cc"
 	"dsprof/internal/core"
 	"dsprof/internal/machine"
-	"dsprof/internal/mcf"
-	"dsprof/internal/nbody"
 )
 
 // progEntry is one memoized compile (singleflight: the first goroutine
@@ -71,46 +69,41 @@ func (b *builder) inputEntryFor(key string) *inputEntry {
 // machine configuration for one collect run. Compiled programs are
 // shared across jobs: they are read-only during simulation.
 func (b *builder) Resolve(spec *JobSpec) (*asm.Program, []int64, *machine.Config, error) {
-	prog, err := b.program(spec)
+	prog, input, err := b.build(spec)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	input := spec.Input
-	if len(input) == 0 {
-		switch spec.Program {
-		case ProgramMCF:
-			input = b.mcfInput(spec)
-		case ProgramNBody:
-			input = b.nbodyInput(spec)
-		}
-	}
-	cfg := machineFor(spec.MachineConfig)
-	return prog, input, cfg, nil
+	return prog, input, machineFor(spec.MachineConfig), nil
 }
 
-func (b *builder) program(spec *JobSpec) (*asm.Program, error) {
-	switch {
-	case spec.Program == ProgramMCF:
-		key := fmt.Sprintf("mcf/%s/%d", spec.Layout, spec.PageSizeHeap)
-		e := b.progEntryFor(key)
+// build compiles the spec's program and picks its input: the spec's own
+// input vector, else the generated instance of a bundled workload.
+func (b *builder) build(spec *JobSpec) (*asm.Program, []int64, error) {
+	if ws, ok := spec.workload(); ok {
+		ws, l, err := ws.Resolve()
+		if err != nil {
+			return nil, nil, err
+		}
+		e := b.progEntryFor(fmt.Sprintf("%s/%s/%d", ws.Workload.Name, ws.Layout, spec.PageSizeHeap))
 		e.once.Do(func() {
-			e.prog, e.err = mcf.Program(spec.mcfLayout(), cc.Options{
+			e.prog, e.err = cc.Compile(l.Sources(), cc.Options{
+				Name:         l.Program,
 				HWCProf:      true,
 				PageSizeHeap: spec.PageSizeHeap,
 			})
 		})
-		return e.prog, e.err
-	case spec.Program == ProgramNBody:
-		key := fmt.Sprintf("nbody/%s/%d", spec.Layout, spec.PageSizeHeap)
-		e := b.progEntryFor(key)
-		e.once.Do(func() {
-			e.prog, e.err = nbody.Program(spec.nbodyVariant(), cc.Options{
-				HWCProf:      true,
-				PageSizeHeap: spec.PageSizeHeap,
-			})
-		})
-		return e.prog, e.err
-	case spec.Source != "":
+		if e.err != nil {
+			return nil, nil, e.err
+		}
+		input := spec.Input
+		if len(input) == 0 {
+			in := b.inputEntryFor(fmt.Sprintf("%s/%d/%d", ws.Workload.Name, ws.Size, ws.Seed))
+			in.once.Do(func() { in.input = ws.Workload.Generate(ws.Size, ws.Seed) })
+			input = in.input
+		}
+		return e.prog, input, nil
+	}
+	if spec.Source != "" {
 		name := spec.Name
 		if name == "" {
 			name = "job"
@@ -122,46 +115,12 @@ func (b *builder) program(spec *JobSpec) (*asm.Program, error) {
 			e.prog, e.err = core.Compile(name, []cc.Source{{Name: name + ".mc", Text: spec.Source}},
 				&cc.Options{Name: name, HWCProf: true, PageSizeHeap: spec.PageSizeHeap})
 		})
-		return e.prog, e.err
-	default:
-		// A path to a compiled object file; loaded fresh each time so
-		// on-disk changes between jobs are picked up.
-		return asm.LoadFile(spec.Program)
+		return e.prog, spec.Input, e.err
 	}
-}
-
-func (b *builder) mcfInput(spec *JobSpec) []int64 {
-	trips := spec.Trips
-	if trips == 0 {
-		trips = 1200
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 20030717
-	}
-	key := fmt.Sprintf("mcf/%d/%d", trips, seed)
-	e := b.inputEntryFor(key)
-	e.once.Do(func() {
-		e.input = mcf.Generate(mcf.DefaultGenParams(trips, seed)).Encode()
-	})
-	return e.input
-}
-
-func (b *builder) nbodyInput(spec *JobSpec) []int64 {
-	papers := spec.Trips
-	if papers == 0 {
-		papers = 2000
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 20030717
-	}
-	key := fmt.Sprintf("nbody/%d/%d", papers, seed)
-	e := b.inputEntryFor(key)
-	e.once.Do(func() {
-		e.input = nbody.Generate(nbody.DefaultGenParams(papers, seed)).Encode()
-	})
-	return e.input
+	// A path to a compiled object file; loaded fresh each time so
+	// on-disk changes between jobs are picked up.
+	prog, err := asm.LoadFile(spec.Program)
+	return prog, spec.Input, err
 }
 
 // machineFor maps the spec's machine selector to a configuration. The

@@ -149,7 +149,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 // tinySpec is a minimal valid job spec for scheduler-level tests whose
 // runner is stubbed.
 func tinySpec() JobSpec {
-	return JobSpec{Program: ProgramMCF, Trips: 40, Clock: true, MachineConfig: "scaled"}
+	return JobSpec{Program: "mcf", Trips: 40, Clock: true, MachineConfig: "scaled"}
 }
 
 // runTinyJob actually executes the spec (shared builder semantics are

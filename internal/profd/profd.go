@@ -20,39 +20,27 @@ import (
 	"fmt"
 
 	"dsprof/internal/collect"
-	"dsprof/internal/mcf"
-	"dsprof/internal/nbody"
-)
-
-// Program selectors understood by JobSpec.Program.
-const (
-	// ProgramMCF is the built-in MCF workload (the paper's case study);
-	// Layout/Trips/Seed select the variant and instance.
-	ProgramMCF = "mcf"
-	// ProgramNBody is the built-in n-body force-layout workload. It
-	// reuses the same spec fields: Layout selects the link encoding
-	// ("baseline" or "compressed"), Trips the instance size in papers,
-	// Seed the graph seed.
-	ProgramNBody = "nbody"
+	"dsprof/internal/workload"
 )
 
 // JobSpec describes one profiling job: a program, its input, and the
 // counter specification for a single collect run.
 type JobSpec struct {
-	// Program selects the target: "mcf" for the built-in MCF workload,
-	// or a path to a compiled .obj file readable by the service. Leave
-	// empty to compile Source instead.
+	// Program selects the target: a bundled workload's name ("mcf",
+	// "nbody"; see internal/workload), or a path to a compiled .obj file
+	// readable by the service. Leave empty to compile Source instead.
 	Program string `json:"program,omitempty"`
 	// Source is inline MC source text, compiled with the paper's
 	// memory-profiling flags. Name names the resulting program.
 	Source string `json:"source,omitempty"`
 	Name   string `json:"name,omitempty"`
 
-	// Built-in workload parameters (Program == "mcf" or "nbody").
-	// For mcf, Layout is "paper" (default) or "optimized" and Trips the
-	// instance size in timetabled trips (default 1200); for nbody,
-	// Layout is "baseline" (default) or "compressed" and Trips the
-	// instance size in papers (default 2000).
+	// Bundled workload parameters: Layout names one of the workload's
+	// struct layouts (default: its first) and Trips the instance size in
+	// the workload's unit (default: its default size). For mcf, Layout
+	// is "paper" or "optimized" and Trips counts timetabled trips
+	// (default 1200); for nbody, Layout is "baseline" or "compressed"
+	// and Trips counts papers (default 2000).
 	Layout string `json:"layout,omitempty"`
 	Trips  int    `json:"trips,omitempty"`
 	Seed   uint64 `json:"seed,omitempty"` // instance seed (default 20030717)
@@ -60,7 +48,8 @@ type JobSpec struct {
 	// PageSizeHeap compiles with -xpagesize_heap (0 = default 8 KB).
 	PageSizeHeap uint64 `json:"pageSizeHeap,omitempty"`
 
-	// Input is the program's input vector, for non-MCF programs.
+	// Input is the program's input vector; a bundled workload without
+	// one gets its generated instance.
 	Input []int64 `json:"input,omitempty"`
 
 	// Clock enables clock profiling (-p on); ClockIntervalCycles
@@ -102,22 +91,9 @@ func (s *JobSpec) Validate() error {
 	if selectors > 1 {
 		return errors.New("profd: program and source are mutually exclusive")
 	}
-	if s.Program == ProgramMCF || s.Program == ProgramNBody {
-		if s.Program == ProgramMCF {
-			switch s.Layout {
-			case "", "paper", "optimized":
-			default:
-				return fmt.Errorf("profd: unknown mcf layout %q (want paper or optimized)", s.Layout)
-			}
-		} else {
-			switch s.Layout {
-			case "", "baseline", "compressed":
-			default:
-				return fmt.Errorf("profd: unknown nbody layout %q (want baseline or compressed)", s.Layout)
-			}
-		}
-		if s.Trips < 0 {
-			return fmt.Errorf("profd: negative trips %d", s.Trips)
+	if ws, ok := s.workload(); ok {
+		if _, _, err := ws.Resolve(); err != nil {
+			return fmt.Errorf("profd: %w", err)
 		}
 	}
 	switch s.MachineConfig {
@@ -140,20 +116,14 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// mcfLayout maps the spec's layout name to the workload parameter.
-func (s *JobSpec) mcfLayout() mcf.Layout {
-	if s.Layout == "optimized" {
-		return mcf.LayoutOptimized
+// workload selects the bundled workload instance the spec names; ok is
+// false when Program is not a registered workload name.
+func (s *JobSpec) workload() (spec workload.Spec, ok bool) {
+	w, err := workload.Lookup(s.Program)
+	if err != nil {
+		return spec, false
 	}
-	return mcf.LayoutPaper
-}
-
-// nbodyVariant maps the spec's layout name to the link encoding.
-func (s *JobSpec) nbodyVariant() nbody.Variant {
-	if s.Layout == "compressed" {
-		return nbody.VariantCompressed
-	}
-	return nbody.VariantBaseline
+	return workload.Spec{Workload: w, Layout: s.Layout, Size: s.Trips, Seed: s.Seed}, true
 }
 
 // ConfigHash is the experiment-store index key: a digest of every field

@@ -7,6 +7,8 @@ package profd
 import (
 	"testing"
 	"time"
+
+	"dsprof/internal/workload"
 )
 
 const wlSrc = `
@@ -131,6 +133,12 @@ func TestJobSpecValidate(t *testing.T) {
 		{"bad counters", JobSpec{Program: "mcf", Counters: "bogus,on"}, false},
 		{"three counters", JobSpec{Program: "mcf", Counters: "ecstall,on,ecrm,on,ecref,on"}, false},
 		{"bad layout", JobSpec{Program: "mcf", Layout: "weird", Clock: true}, false},
+		{"nbody layout on mcf", JobSpec{Program: "mcf", Layout: "compressed", Clock: true}, false},
+		{"nbody ok", JobSpec{Program: "nbody", Layout: "compressed", Trips: 400, Clock: true}, true},
+		{"negative trips", JobSpec{Program: "mcf", Trips: -1, Clock: true}, false},
+		{"trips at max", JobSpec{Program: "mcf", Trips: workload.MCF.MaxSize, Clock: true}, true},
+		{"trips above max", JobSpec{Program: "mcf", Trips: workload.MCF.MaxSize + 1, Clock: true}, false},
+		{"papers above max", JobSpec{Program: "nbody", Trips: 1 << 62, Clock: true}, false},
 		{"bad machine", JobSpec{Program: "mcf", Clock: true, MachineConfig: "cray"}, false},
 		{"negative timeout", JobSpec{Program: "mcf", Clock: true, TimeoutSec: -1}, false},
 	}
@@ -154,6 +162,23 @@ func TestConfigHash(t *testing.T) {
 	c.Input = []int64{101}
 	if a.ConfigHash() == c.ConfigHash() {
 		t.Error("different inputs hash equal")
+	}
+
+	// The digests are the store's index keys: a change to them orphans
+	// every experiment already stored.
+	pinned := []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Program: "mcf", Clock: true, Counters: "+ecstall,100003,+ecrm,2003"}, "a12725be500d7208"},
+		{JobSpec{Program: "mcf", Layout: "optimized", Trips: 600, Counters: "+ecref,10007,+dtlbm,997"}, "96badfbf401e5741"},
+		{JobSpec{Program: "nbody", Layout: "compressed", Trips: 2000, Clock: true, Provenance: true}, "1ef27cd65f3e9fe2"},
+		{JobSpec{Source: "long main(){return 0;}", Name: "t", Clock: true}, "36d8812ccae98c84"},
+	}
+	for _, p := range pinned {
+		if got := p.spec.ConfigHash(); got != p.want {
+			t.Errorf("ConfigHash(%+v) = %s, want %s", p.spec, got, p.want)
+		}
 	}
 }
 

@@ -131,12 +131,33 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes caps the body of POST /jobs and POST /advise. The
+// largest legitimate body is a job spec carrying a bundled workload's
+// generated instance inline as its input: about 4.5 MB of JSON for MCF
+// at its maximum size.
+const maxSpecBytes = 16 << 20
+
+// decodeSpec decodes a request body of at most maxSpecBytes into v,
+// rejecting unknown fields. On failure it writes the error response
+// (413 for an oversized body, else 400) and returns false.
+func decodeSpec(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decoding %s: %w", what, err))
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+	if !decodeSpec(w, r, "job spec", &spec) {
 		return
 	}
 	j, err := s.sched.Submit(spec)
@@ -184,10 +205,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAdviseSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec AdviseSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding advise spec: %w", err))
+	if !decodeSpec(w, r, "advise spec", &spec) {
 		return
 	}
 	j, err := s.adviser.Submit(spec)

@@ -13,6 +13,7 @@ import (
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/experiment"
+	"dsprof/internal/workload"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *Store, *Scheduler) {
@@ -293,5 +294,73 @@ func TestServerCancel(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("cancel unknown job = %d, want 404", resp.StatusCode)
+	}
+}
+
+// postStatus posts body to path and returns the response status code.
+func postStatus(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// An instance size the generator cannot allocate is a 400 at the API
+// boundary; it must never reach a worker, where the generator's panic
+// would take the whole daemon down.
+func TestServerRejectsOutOfRangeSize(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	huge := `{"program":"mcf","trips":4611686018427387904,"clock":true}`
+	if code := postStatus(t, ts.URL+"/jobs", huge); code != http.StatusBadRequest {
+		t.Errorf("POST /jobs with huge trips = %d, want 400", code)
+	}
+	if code := postStatus(t, ts.URL+"/advise", `{"trips":4611686018427387904}`); code != http.StatusBadRequest {
+		t.Errorf("POST /advise with huge trips = %d, want 400", code)
+	}
+	st := postJob(t, ts, specA(1))
+	var js JobStatus
+	for deadline := time.Now().Add(60 * time.Second); !js.State.Terminal(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("job after rejected specs never finished")
+		}
+		getJSON(t, ts.URL+"/jobs/"+st.ID, &js)
+	}
+	if js.State != JobDone {
+		t.Fatalf("job after rejected specs: %s (%s)", js.State, js.Error)
+	}
+}
+
+// Request bodies are capped: an oversized spec is a 413 and the server
+// keeps serving. The cap must still admit every workload's generated
+// instance inlined as a job's input at the workload's maximum size.
+func TestServerBodyCap(t *testing.T) {
+	for _, name := range workload.Names() {
+		w, _ := workload.Lookup(name)
+		body, err := json.Marshal(JobSpec{Program: name, Clock: true,
+			Input: w.Generate(w.MaxSize, workload.DefaultSeed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) >= maxSpecBytes {
+			t.Errorf("%s instance at size %d is a %d-byte spec, over the %d-byte cap",
+				name, w.MaxSize, len(body), maxSpecBytes)
+		}
+	}
+
+	ts, _, _ := newTestServer(t)
+	big := `{"program":"mcf","clock":true,"input":[` +
+		strings.Repeat("1,", maxSpecBytes/2) + `1]}`
+	for _, path := range []string{"/jobs", "/advise"} {
+		if code := postStatus(t, ts.URL+path, big); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized POST %s = %d, want 413", path, code)
+		}
+	}
+	postJob(t, ts, specA(1))
+	if code, body := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Errorf("healthz after oversized bodies = %d %q", code, body)
 	}
 }

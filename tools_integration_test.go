@@ -9,7 +9,8 @@ import (
 )
 
 // TestToolPipeline drives the command-line tools end to end, exactly as
-// the README documents: mcfgen → mcc → collect ×2 → erprint.
+// the README documents: dsgen → mcc → collect ×2 → erprint, for MCF and
+// (without the reports) for the n-body kernel.
 func TestToolPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI tools")
@@ -17,7 +18,7 @@ func TestToolPipeline(t *testing.T) {
 	dir := t.TempDir()
 	bin := func(name string) string { return filepath.Join(dir, name) }
 
-	for _, tool := range []string{"mcc", "collect", "erprint", "mcfgen"} {
+	for _, tool := range []string{"mcc", "collect", "erprint", "dsgen"} {
 		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
@@ -35,11 +36,11 @@ func TestToolPipeline(t *testing.T) {
 	}
 
 	// Generate the program source and an instance.
-	run("mcfgen", "-emit-source", "-layout", "paper", "-o", "mcf.mc")
-	run("mcfgen", "-trips", "120", "-seed", "7", "-o", "mcf.in")
-	solve := run("mcfgen", "-trips", "120", "-seed", "7", "-solve")
+	run("dsgen", "-workload", "mcf", "-emit-source", "-layout", "paper", "-o", "mcf.mc")
+	run("dsgen", "-workload", "mcf", "-size", "120", "-seed", "7", "-o", "mcf.in")
+	solve := run("dsgen", "-workload", "mcf", "-size", "120", "-seed", "7", "-check")
 	if !strings.Contains(solve, "netsimplex optimum=") {
-		t.Fatalf("mcfgen -solve output:\n%s", solve)
+		t.Fatalf("dsgen -check output:\n%s", solve)
 	}
 
 	// Compile with the paper's flags.
@@ -120,5 +121,20 @@ func TestToolPipeline(t *testing.T) {
 		if !names[want] {
 			t.Errorf("experiment missing %s (have %v)", want, names)
 		}
+	}
+
+	// The n-body kernel through the same generator, compiler and
+	// collector.
+	run("dsgen", "-workload", "nbody", "-emit-source", "-layout", "baseline", "-o", "nbody.mc")
+	run("dsgen", "-workload", "nbody", "-size", "200", "-seed", "7", "-o", "nbody.in")
+	model := run("dsgen", "-workload", "nbody", "-size", "200", "-seed", "7", "-check")
+	if !strings.Contains(model, "papers=200 ") || !strings.Contains(model, "output=[0 200 ") {
+		t.Fatalf("dsgen -workload nbody -check output:\n%s", model)
+	}
+	run("mcc", "-xhwcprof", "-o", "nbody.obj", "nbody.mc")
+	out = run("collect", "-scaled", "-o", "nb.er", "-p", "on",
+		"-h", "+ecstall,2003,+ecrm,251", "-input", "nbody.in", "nbody.obj")
+	if !strings.Contains(out, "wrote experiment nb.er") {
+		t.Fatalf("collect n-body:\n%s", out)
 	}
 }
