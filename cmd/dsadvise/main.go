@@ -34,7 +34,6 @@ import (
 	"dsprof/internal/cli"
 	"dsprof/internal/core"
 	"dsprof/internal/experiment"
-	"dsprof/internal/machine"
 	"dsprof/internal/version"
 	"dsprof/internal/workload"
 )
@@ -150,16 +149,9 @@ func runLoop(args []string) error {
 	if fs.NArg() > 0 {
 		return cli.Usagef("loop takes no positional arguments, got %q", fs.Arg(0))
 	}
-	var cfg machine.Config
-	switch *machineName {
-	case "study":
-		cfg = core.StudyMachine()
-	case "scaled":
-		cfg = machine.ScaledConfig()
-	case "default":
-		cfg = machine.DefaultConfig()
-	default:
-		return cli.Usagef("unknown machine %q (study, scaled or default)", *machineName)
+	cfg, err := core.MachineByName(*machineName)
+	if err != nil {
+		return cli.UsageError{Err: err}
 	}
 	opts := advisor.Options{Window: *window, MinShare: *minShare, MaxRecs: *topN}
 

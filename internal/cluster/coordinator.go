@@ -21,8 +21,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +29,7 @@ import (
 	"dsprof/internal/collect"
 	"dsprof/internal/experiment"
 	"dsprof/internal/faultfs"
+	"dsprof/internal/memo"
 	"dsprof/internal/profd"
 )
 
@@ -105,12 +104,6 @@ type origin struct {
 // (same sizing rationale as the store's local memo).
 const maxCachedAnalyzers = 32
 
-type analyzerEntry struct {
-	once sync.Once
-	a    *analyzer.Analyzer
-	err  error
-}
-
 // Coordinator fans profd jobs out to worker nodes and reduces report
 // queries across them. It implements profd.Runner (Run) and
 // profd.AnalyzerProvider (Analyzer).
@@ -123,8 +116,7 @@ type Coordinator struct {
 	originMu sync.Mutex
 	origins  map[string]origin // by config hash
 
-	cacheMu   sync.Mutex
-	analyzers map[string]*analyzerEntry
+	analyzers *memo.Cache[string, *analyzer.Analyzer] // by profd.IDSetKey
 
 	replBytes      atomic.Uint64
 	partialsRemote atomic.Uint64
@@ -147,7 +139,7 @@ func NewCoordinator(store *profd.Store, cfg Config) *Coordinator {
 		cfg:       cfg.withDefaults(),
 		client:    &http.Client{},
 		origins:   make(map[string]origin),
-		analyzers: make(map[string]*analyzerEntry),
+		analyzers: memo.New[string, *analyzer.Analyzer](maxCachedAnalyzers),
 	}
 }
 
@@ -373,39 +365,11 @@ func (c *Coordinator) Analyzer(ids []string) (*analyzer.Analyzer, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("cluster: no experiments selected")
 	}
-	key := analyzerKey(ids)
-	c.cacheMu.Lock()
-	e := c.analyzers[key]
-	if e == nil {
-		e = &analyzerEntry{}
-		if len(c.analyzers) >= maxCachedAnalyzers {
-			for k := range c.analyzers {
-				delete(c.analyzers, k)
-				break
-			}
-		}
-		c.analyzers[key] = e
-	}
-	c.cacheMu.Unlock()
-
-	e.once.Do(func() { e.a, e.err = c.reduce(ids) })
-	if e.err != nil {
-		c.cacheMu.Lock()
-		if c.analyzers[key] == e {
-			delete(c.analyzers, key)
-		}
-		c.cacheMu.Unlock()
-	}
-	return e.a, e.err
+	return c.analyzers.Do(profd.IDSetKey(ids), func() (*analyzer.Analyzer, error) { return c.reduce(ids) })
 }
 
-// analyzerKey canonicalizes an ID set (order-insensitive), matching
-// the store's memo keying.
-func analyzerKey(ids []string) string {
-	sorted := append([]string(nil), ids...)
-	sort.Strings(sorted)
-	return strings.Join(sorted, ",")
-}
+// CacheStats returns the distributed-reduce memo's hit/miss counters.
+func (c *Coordinator) CacheStats() (hits, misses uint64) { return c.analyzers.Stats() }
 
 // reduce performs one distributed reduction over the ID set.
 func (c *Coordinator) reduce(ids []string) (*analyzer.Analyzer, error) {

@@ -76,6 +76,12 @@ func TestClusterSoak(t *testing.T) {
 	if res.Metrics["cluster_replication_bytes_total"] == 0 {
 		t.Error("cluster_replication_bytes_total = 0: no experiment was replicated")
 	}
+	// Every report query resolves its analyzer once through the
+	// coordinator's memo, and the query mix repeats ID sets.
+	hits, misses := res.Metrics["profd_analyzer_cache_hits"], res.Metrics["profd_analyzer_cache_misses"]
+	if hits+misses != float64(p.Queries) || hits == 0 {
+		t.Errorf("analyzer cache hits %v + misses %v, want %d queries with hits > 0", hits, misses, p.Queries)
+	}
 
 	if t.Failed() {
 		return

@@ -15,12 +15,12 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/experiment"
+	"dsprof/internal/memo"
 	"dsprof/internal/profd"
 )
 
@@ -37,12 +37,6 @@ const (
 	reRegisterInterval = 10 * time.Second
 )
 
-type workerCtx struct {
-	once sync.Once
-	a    *analyzer.Analyzer
-	err  error
-}
-
 // Worker is one cluster node's service bundle.
 type Worker struct {
 	id    string
@@ -50,8 +44,7 @@ type Worker struct {
 	sched *profd.Scheduler
 	srv   *profd.Server
 
-	ctxMu sync.Mutex
-	ctxs  map[string]*workerCtx // by experiment ID
+	ctxs *memo.Cache[string, *analyzer.Analyzer] // by experiment ID
 
 	partialsServed atomic.Uint64
 	archiveBytes   atomic.Uint64
@@ -63,7 +56,7 @@ func NewWorker(id string, store *profd.Store, sched *profd.Scheduler) *Worker {
 		id:    id,
 		store: store,
 		sched: sched,
-		ctxs:  make(map[string]*workerCtx),
+		ctxs:  memo.New[string, *analyzer.Analyzer](maxWorkerContexts),
 	}
 	srv := profd.NewServer(sched, store)
 	srv.SetExtraRoutes(w.routes)
@@ -146,45 +139,22 @@ func (w *Worker) handlePartial(rw http.ResponseWriter, r *http.Request) {
 // context returns the memoized partial-serving analyzer context for
 // one stored experiment.
 func (w *Worker) context(expID string) (*analyzer.Analyzer, error) {
-	w.ctxMu.Lock()
-	e := w.ctxs[expID]
-	if e == nil {
-		e = &workerCtx{}
-		if len(w.ctxs) >= maxWorkerContexts {
-			for k := range w.ctxs {
-				delete(w.ctxs, k)
-				break
-			}
-		}
-		w.ctxs[expID] = e
-	}
-	w.ctxMu.Unlock()
-	e.once.Do(func() {
+	return w.ctxs.Do(expID, func() (*analyzer.Analyzer, error) {
 		dirs, err := w.store.Dirs([]string{expID})
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		exp, err := experiment.Open(dirs[0])
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		// The cache key namespace matches the store's local reduction
 		// (experiment ID), so both paths share memoized partials.
-		e.a, e.err = analyzer.NewContext(analyzer.Config{
+		return analyzer.NewContext(analyzer.Config{
 			Cache: w.store.PartialCache(),
 			Keys:  []string{expID},
 		}, exp)
 	})
-	if e.err != nil {
-		w.ctxMu.Lock()
-		if w.ctxs[expID] == e {
-			delete(w.ctxs, expID)
-		}
-		w.ctxMu.Unlock()
-	}
-	return e.a, e.err
 }
 
 // Stats snapshots the worker's self-reported state.

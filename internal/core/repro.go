@@ -49,6 +49,23 @@ func StudyMachine() machine.Config {
 	return cfg
 }
 
+// MachineByName maps a machine selector to its configuration: "study"
+// (or empty) is StudyMachine, "scaled" and "default" are the machine
+// package's configurations of those names. It is the one lookup every
+// surface that takes a machine name (profd jobs and advise jobs,
+// dsadvise loop) goes through.
+func MachineByName(name string) (machine.Config, error) {
+	switch name {
+	case "", "study":
+		return StudyMachine(), nil
+	case "scaled":
+		return machine.ScaledConfig(), nil
+	case "default":
+		return machine.DefaultConfig(), nil
+	}
+	return machine.Config{}, fmt.Errorf("unknown machine %q (want study, scaled or default)", name)
+}
+
 // Study is a completed MCF profiling study: the merged analyzer plus the
 // raw run results.
 type Study struct {

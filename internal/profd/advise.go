@@ -44,10 +44,8 @@ func (s *AdviseSpec) Validate() error {
 	if _, _, err := s.workload().Resolve(); err != nil {
 		return fmt.Errorf("profd: %w", err)
 	}
-	switch s.MachineConfig {
-	case "", "default", "scaled", "study":
-	default:
-		return fmt.Errorf("profd: unknown machine config %q (want default, scaled or study)", s.MachineConfig)
+	if _, err := core.MachineByName(s.MachineConfig); err != nil {
+		return fmt.Errorf("profd: %w", err)
 	}
 	if s.Window < 0 || s.MinShare < 0 || s.MinShare > 1 || s.MaxRecs < 0 || s.TimeoutSec < 0 {
 		return errors.New("profd: advise parameters must be non-negative (minShare at most 1)")
@@ -263,7 +261,11 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	j.advice = adv
 	j.mu.Unlock()
 
-	target, err := core.Target(ws, machineFor(spec.MachineConfig))
+	cfg, err := core.MachineByName(spec.MachineConfig)
+	if err != nil {
+		return err
+	}
+	target, err := core.Target(ws, &cfg)
 	if err != nil {
 		return err
 	}

@@ -9,60 +9,36 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"dsprof/internal/asm"
 	"dsprof/internal/cc"
 	"dsprof/internal/core"
 	"dsprof/internal/machine"
+	"dsprof/internal/memo"
 )
 
-// progEntry is one memoized compile (singleflight: the first goroutine
-// to want the key compiles, the rest wait on the Once).
-type progEntry struct {
-	once sync.Once
-	prog *asm.Program
-	err  error
-}
+// maxCachedPrograms bounds the compile memo. A compiled bundled
+// workload gob-encodes to ~60 KB (MCF; n-body ~35 KB), so 64 programs
+// cover every bundled (workload, layout) pair at several heap page
+// sizes plus a working set of inline sources in a few MB.
+const maxCachedPrograms = 64
 
-type inputEntry struct {
-	once  sync.Once
-	input []int64
-}
+// maxCachedInputs bounds the generated-input memo. One MCF input at
+// workload.MaxSize is ~1.08M int64s, ~8.7 MB (n-body ~1.1 MB), so the
+// memo holds at most ~70 MB while a sweep over up to 8 instances still
+// generates each one once.
+const maxCachedInputs = 8
 
 type builder struct {
-	mu     sync.Mutex
-	progs  map[string]*progEntry
-	inputs map[string]*inputEntry
+	progs  *memo.Cache[string, *asm.Program]
+	inputs *memo.Cache[string, []int64]
 }
 
 func newBuilder() *builder {
 	return &builder{
-		progs:  make(map[string]*progEntry),
-		inputs: make(map[string]*inputEntry),
+		progs:  memo.New[string, *asm.Program](maxCachedPrograms),
+		inputs: memo.New[string, []int64](maxCachedInputs),
 	}
-}
-
-func (b *builder) progEntryFor(key string) *progEntry {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.progs[key]
-	if e == nil {
-		e = &progEntry{}
-		b.progs[key] = e
-	}
-	return e
-}
-
-func (b *builder) inputEntryFor(key string) *inputEntry {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.inputs[key]
-	if e == nil {
-		e = &inputEntry{}
-		b.inputs[key] = e
-	}
-	return e
 }
 
 // Resolve turns a validated spec into the program, input vector and
@@ -73,7 +49,11 @@ func (b *builder) Resolve(spec *JobSpec) (*asm.Program, []int64, *machine.Config
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return prog, input, machineFor(spec.MachineConfig), nil
+	cfg, err := core.MachineByName(spec.MachineConfig)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return prog, input, &cfg, nil
 }
 
 // build compiles the spec's program and picks its input: the spec's own
@@ -84,24 +64,26 @@ func (b *builder) build(spec *JobSpec) (*asm.Program, []int64, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		e := b.progEntryFor(fmt.Sprintf("%s/%s/%d", ws.Workload.Name, ws.Layout, spec.PageSizeHeap))
-		e.once.Do(func() {
-			e.prog, e.err = cc.Compile(l.Sources(), cc.Options{
+		key := fmt.Sprintf("%s/%s/%d", ws.Workload.Name, ws.Layout, spec.PageSizeHeap)
+		prog, err := b.progs.Do(key, func() (*asm.Program, error) {
+			return cc.Compile(l.Sources(), cc.Options{
 				Name:         l.Program,
 				HWCProf:      true,
 				PageSizeHeap: spec.PageSizeHeap,
 			})
 		})
-		if e.err != nil {
-			return nil, nil, e.err
+		if err != nil {
+			return nil, nil, err
 		}
 		input := spec.Input
 		if len(input) == 0 {
-			in := b.inputEntryFor(fmt.Sprintf("%s/%d/%d", ws.Workload.Name, ws.Size, ws.Seed))
-			in.once.Do(func() { in.input = ws.Workload.Generate(ws.Size, ws.Seed) })
-			input = in.input
+			// Generate cannot fail, so neither can this Do.
+			key = fmt.Sprintf("%s/%d/%d", ws.Workload.Name, ws.Size, ws.Seed)
+			input, _ = b.inputs.Do(key, func() ([]int64, error) {
+				return ws.Workload.Generate(ws.Size, ws.Seed), nil
+			})
 		}
-		return e.prog, input, nil
+		return prog, input, nil
 	}
 	if spec.Source != "" {
 		name := spec.Name
@@ -110,30 +92,14 @@ func (b *builder) build(spec *JobSpec) (*asm.Program, []int64, error) {
 		}
 		sum := sha256.Sum256([]byte(spec.Source))
 		key := fmt.Sprintf("src/%s/%d/%s", name, spec.PageSizeHeap, hex.EncodeToString(sum[:8]))
-		e := b.progEntryFor(key)
-		e.once.Do(func() {
-			e.prog, e.err = core.Compile(name, []cc.Source{{Name: name + ".mc", Text: spec.Source}},
+		prog, err := b.progs.Do(key, func() (*asm.Program, error) {
+			return core.Compile(name, []cc.Source{{Name: name + ".mc", Text: spec.Source}},
 				&cc.Options{Name: name, HWCProf: true, PageSizeHeap: spec.PageSizeHeap})
 		})
-		return e.prog, spec.Input, e.err
+		return prog, spec.Input, err
 	}
 	// A path to a compiled object file; loaded fresh each time so
 	// on-disk changes between jobs are picked up.
 	prog, err := asm.LoadFile(spec.Program)
 	return prog, spec.Input, err
-}
-
-// machineFor maps the spec's machine selector to a configuration. The
-// default is the paper-scale study machine, matching core.RunStudy.
-func machineFor(name string) *machine.Config {
-	var cfg machine.Config
-	switch name {
-	case "default":
-		cfg = machine.DefaultConfig()
-	case "scaled":
-		cfg = machine.ScaledConfig()
-	default: // "study", ""
-		cfg = core.StudyMachine()
-	}
-	return &cfg
 }

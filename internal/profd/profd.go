@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"dsprof/internal/collect"
+	"dsprof/internal/core"
 	"dsprof/internal/workload"
 )
 
@@ -96,10 +97,8 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("profd: %w", err)
 		}
 	}
-	switch s.MachineConfig {
-	case "", "default", "scaled", "study":
-	default:
-		return fmt.Errorf("profd: unknown machine config %q (want default, scaled or study)", s.MachineConfig)
+	if _, err := core.MachineByName(s.MachineConfig); err != nil {
+		return fmt.Errorf("profd: %w", err)
 	}
 	if !s.Clock && s.Counters == "" {
 		return errors.New("profd: job profiles nothing: enable clock or arm counters")

@@ -480,14 +480,11 @@ type Metrics struct {
 	Canceled        int64  `json:"jobsCanceled"`
 	Retried         int64  `json:"jobsRetried"`
 	SimulatedCycles uint64 `json:"simulatedCycles"`
-	CacheHits       uint64 `json:"analyzerCacheHits"`
-	CacheMisses     uint64 `json:"analyzerCacheMisses"`
 	Experiments     int    `json:"experiments"`
 }
 
 // Metrics returns the current service counters.
 func (s *Scheduler) Metrics() Metrics {
-	hits, misses := s.store.CacheStats()
 	return Metrics{
 		Workers:         s.cfg.Workers,
 		Busy:            s.running.Load(),
@@ -498,8 +495,6 @@ func (s *Scheduler) Metrics() Metrics {
 		Canceled:        s.canceled.Load(),
 		Retried:         s.retried.Load(),
 		SimulatedCycles: s.cycles.Load(),
-		CacheHits:       hits,
-		CacheMisses:     misses,
 		Experiments:     s.store.Count(),
 	}
 }

@@ -338,8 +338,8 @@ func TestBuilderMemoizesCompiles(t *testing.T) {
 	if p1 != p2 {
 		t.Error("same source resolved to distinct program objects")
 	}
-	if len(b.progs) != 1 {
-		t.Errorf("builder holds %d compile entries, want 1", len(b.progs))
+	if b.progs.Len() != 1 {
+		t.Errorf("builder holds %d compile entries, want 1", b.progs.Len())
 	}
 	other := specA(16)
 	other.Source = spinSrc
@@ -350,6 +350,35 @@ func TestBuilderMemoizesCompiles(t *testing.T) {
 	}
 	if p3 == p1 {
 		t.Error("different sources shared one compile")
+	}
+}
+
+// TestBuilderBoundsInputs resolves more distinct generated inputs than
+// the input memo holds: the builder keeps at most its bound, and a
+// recently resolved instance still comes back as the same slice.
+func TestBuilderBoundsInputs(t *testing.T) {
+	b := newBuilder()
+	resolve := func(seed uint64) []int64 {
+		t.Helper()
+		spec := JobSpec{Program: "mcf", Trips: 10, Seed: seed, Clock: true}
+		_, in, _, err := b.Resolve(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	var last []int64
+	for seed := uint64(1); seed <= maxCachedInputs+4; seed++ {
+		last = resolve(seed)
+	}
+	if n := b.inputs.Len(); n > maxCachedInputs {
+		t.Errorf("builder holds %d inputs, bound %d", n, maxCachedInputs)
+	}
+	if again := resolve(maxCachedInputs + 4); &again[0] != &last[0] {
+		t.Error("re-resolving the latest instance regenerated it")
+	}
+	if b.progs.Len() != 1 {
+		t.Errorf("builder holds %d compile entries, want 1", b.progs.Len())
 	}
 }
 

@@ -40,9 +40,11 @@ import (
 // analyzer. The store is the default provider (local reduction with
 // per-shard memoization); the cluster coordinator substitutes its
 // distributed reduce so report queries fan partial computation out to
-// the worker nodes that hold the experiment replicas.
+// the worker nodes that hold the experiment replicas. CacheStats
+// reports the provider's analyzer memo, which /metrics exports.
 type AnalyzerProvider interface {
 	Analyzer(ids []string) (*analyzer.Analyzer, error)
+	CacheStats() (hits, misses uint64)
 }
 
 // Server serves the profiling service API.
@@ -356,8 +358,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "profd_jobs_canceled %d\n", m.Canceled)
 	fmt.Fprintf(w, "profd_jobs_retried %d\n", m.Retried)
 	fmt.Fprintf(w, "profd_simulated_cycles_total %d\n", m.SimulatedCycles)
-	fmt.Fprintf(w, "profd_analyzer_cache_hits %d\n", m.CacheHits)
-	fmt.Fprintf(w, "profd_analyzer_cache_misses %d\n", m.CacheMisses)
+	ah, am := s.analyzers.CacheStats()
+	fmt.Fprintf(w, "profd_analyzer_cache_hits %d\n", ah)
+	fmt.Fprintf(w, "profd_analyzer_cache_misses %d\n", am)
 	fmt.Fprintf(w, "profd_experiments %d\n", m.Experiments)
 	sh, sm := s.store.ShardCacheStats()
 	fmt.Fprintf(w, "profd_shard_cache_hits %d\n", sh)

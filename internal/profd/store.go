@@ -14,12 +14,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/experiment"
 	"dsprof/internal/faultfs"
+	"dsprof/internal/memo"
 )
 
 // ExpRecord is one completed experiment in the store's index.
@@ -49,54 +49,6 @@ const maxCachedAnalyzers = 32
 // events), so the bound is correspondingly larger.
 const maxCachedPartials = 4096
 
-type analyzerEntry struct {
-	once sync.Once
-	a    *analyzer.Analyzer
-	err  error
-}
-
-// shardPartialCache memoizes per-shard reduction partials across
-// analyzer builds. Store experiments are immutable once committed, so a
-// shard key (experiment id + shard coordinates + cycle range) always
-// maps to the same partial: querying overlapping experiment sets — e.g.
-// {A1} then {A1,A2} — re-reduces only the shards not already seen.
-// It implements analyzer.PartialCache.
-type shardPartialCache struct {
-	mu     sync.Mutex
-	m      map[string]*analyzer.ShardPartial
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-func newShardPartialCache() *shardPartialCache {
-	return &shardPartialCache{m: make(map[string]*analyzer.ShardPartial)}
-}
-
-func (c *shardPartialCache) Get(key string) (*analyzer.ShardPartial, bool) {
-	c.mu.Lock()
-	p, ok := c.m[key]
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return p, ok
-}
-
-func (c *shardPartialCache) Put(key string, p *analyzer.ShardPartial) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= maxCachedPartials {
-		// Evict an arbitrary entry: partials are cheap to rebuild.
-		for k := range c.m {
-			delete(c.m, k)
-			break
-		}
-	}
-	c.m[key] = p
-}
-
 // Store is the on-disk experiment registry plus the analyzer memo.
 type Store struct {
 	root string
@@ -106,12 +58,13 @@ type Store struct {
 	exps map[string]*ExpRecord // by ID
 	seq  int
 
-	cacheMu   sync.Mutex
-	analyzers map[string]*analyzerEntry
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-
-	partials *shardPartialCache
+	// analyzers memoizes reductions by ID set (IDSetKey). partials
+	// memoizes per-shard partials across them: store experiments are
+	// immutable once committed, so a shard key (experiment ID + shard
+	// coordinates + cycle range) always maps to the same partial, and
+	// querying {A1} then {A1,A2} re-reduces only A2's shards.
+	analyzers *memo.Cache[string, *analyzer.Analyzer]
+	partials  *memo.Cache[string, *analyzer.ShardPartial]
 }
 
 // OpenStore opens (creating if needed) a managed experiment root and
@@ -133,8 +86,8 @@ func OpenStoreFS(fsys faultfs.FS, root string) (*Store, error) {
 		root:      root,
 		fsys:      fsys,
 		exps:      make(map[string]*ExpRecord),
-		analyzers: make(map[string]*analyzerEntry),
-		partials:  newShardPartialCache(),
+		analyzers: memo.New[string, *analyzer.Analyzer](maxCachedAnalyzers),
+		partials:  memo.New[string, *analyzer.ShardPartial](maxCachedPartials),
 	}
 	if err := s.loadIndex(); err != nil {
 		return nil, err
@@ -364,32 +317,10 @@ func (s *Store) Analyzer(ids []string) (*analyzer.Analyzer, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("profd: no experiments selected")
 	}
-	key := cacheKey(ids)
-
-	s.cacheMu.Lock()
-	e := s.analyzers[key]
-	if e == nil {
-		e = &analyzerEntry{}
-		// Bound the memo: evict an arbitrary entry when full. Entries
-		// are cheap to rebuild relative to a profiled run.
-		if len(s.analyzers) >= maxCachedAnalyzers {
-			for k := range s.analyzers {
-				delete(s.analyzers, k)
-				break
-			}
-		}
-		s.analyzers[key] = e
-		s.misses.Add(1)
-	} else {
-		s.hits.Add(1)
-	}
-	s.cacheMu.Unlock()
-
-	e.once.Do(func() {
+	return s.analyzers.Do(IDSetKey(ids), func() (*analyzer.Analyzer, error) {
 		dirs, err := s.Dirs(ids)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		exps := make([]*experiment.Experiment, 0, len(dirs))
 		for _, d := range dirs {
@@ -397,46 +328,33 @@ func (s *Store) Analyzer(ids []string) (*analyzer.Analyzer, error) {
 			// shard-by-shard through the parallel reduction below.
 			exp, err := experiment.Open(d)
 			if err != nil {
-				e.err = err
-				return
+				return nil, err
 			}
 			exps = append(exps, exp)
 		}
 		// Keys[i] names exps[i] for the per-shard partial cache: store
 		// experiments are immutable, so id+shard coordinates is stable.
-		e.a, e.err = analyzer.NewWithConfig(analyzer.Config{
+		return analyzer.NewWithConfig(analyzer.Config{
 			Cache: s.partials,
 			Keys:  ids,
 		}, exps...)
 	})
-	if e.err != nil {
-		// Don't pin failures in the cache: a later query retries.
-		s.cacheMu.Lock()
-		if s.analyzers[key] == e {
-			delete(s.analyzers, key)
-		}
-		s.cacheMu.Unlock()
-	}
-	return e.a, e.err
 }
 
-// cacheKey canonicalizes an ID set (order-insensitive).
-func cacheKey(ids []string) string {
+// IDSetKey canonicalizes an experiment ID set (order-insensitive): the
+// key of every analyzer memo over ID sets.
+func IDSetKey(ids []string) string {
 	sorted := append([]string(nil), ids...)
 	sort.Strings(sorted)
 	return strings.Join(sorted, ",")
 }
 
 // CacheStats returns the analyzer memo's hit/miss counters.
-func (s *Store) CacheStats() (hits, misses uint64) {
-	return s.hits.Load(), s.misses.Load()
-}
+func (s *Store) CacheStats() (hits, misses uint64) { return s.analyzers.Stats() }
 
 // ShardCacheStats returns the per-shard partial cache's hit/miss
 // counters (one probe per shard per analyzer build).
-func (s *Store) ShardCacheStats() (hits, misses uint64) {
-	return s.partials.hits.Load(), s.partials.misses.Load()
-}
+func (s *Store) ShardCacheStats() (hits, misses uint64) { return s.partials.Stats() }
 
 // PartialCache exposes the store's per-shard partial cache so cluster
 // worker nodes serving remote partial requests share memoization with
