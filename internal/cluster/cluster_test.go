@@ -246,7 +246,9 @@ func compareReports(t *testing.T, ref *analyzer.Analyzer, client *http.Client, b
 // reduction — first with all workers healthy (fully remote partials),
 // then for a fresh experiment set with one worker killed mid-reduce
 // (the survivors' partials stay remote, the dead node's recompute
-// locally).
+// locally), and finally for a later set over the dead node's
+// experiment, whose local recomputations the coordinator's shard memo
+// must answer.
 func TestClusterGolden(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{})
 	specs := clusterSpecs()
@@ -338,6 +340,17 @@ func TestClusterGolden(t *testing.T) {
 
 	// The memoized analyzer keeps serving identical bytes afterwards.
 	compareReports(t, serialReference(t, tc.store, mcfIDs), tc.client, tc.srv.URL, mcfIDs, "after-crash", mcfReportArgs)
+
+	// A new set that includes the dead node's experiment reduces its
+	// units locally again; the ones the crash phase already recomputed
+	// come from the coordinator's shard memo, not a second attribution.
+	hitsBefore, _ := tc.store.ShardCacheStats()
+	laterIDs := []string{ids[0], ids[1]}
+	compareReports(t, serialReference(t, tc.store, laterIDs), tc.client, tc.srv.URL, laterIDs, "later", mcfReportArgs)
+	if hits, _ := tc.store.ShardCacheStats(); hits <= hitsBefore {
+		t.Errorf("later query over the dead node's experiment: coordinator shard-cache hits %d → %d, want an increase",
+			hitsBefore, hits)
+	}
 }
 
 // TestClusterReassignsDeadWorker drives the reassignment path without

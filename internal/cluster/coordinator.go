@@ -373,7 +373,7 @@ func (c *Coordinator) CacheStats() (hits, misses uint64) { return c.analyzers.St
 
 // reduce performs one distributed reduction over the ID set.
 func (c *Coordinator) reduce(ids []string) (*analyzer.Analyzer, error) {
-	dirs, err := c.store.Dirs(ids)
+	exps, err := c.store.OpenExperiments(ids)
 	if err != nil {
 		return nil, err
 	}
@@ -385,15 +385,10 @@ func (c *Coordinator) reduce(ids []string) (*analyzer.Analyzer, error) {
 		}
 		hashes[i] = rec.Hash
 	}
-	exps := make([]*experiment.Experiment, len(dirs))
-	for i, d := range dirs {
-		exp, err := experiment.Open(d)
-		if err != nil {
-			return nil, err
-		}
-		exps[i] = exp
-	}
-	a, err := analyzer.NewContext(analyzer.Config{}, exps...)
+	// The shell shares the store's partial memo, keyed by store ID as
+	// in a local reduction: a unit recomputed locally for a dead origin
+	// is attributed once, not on every reduction that includes it.
+	a, err := analyzer.NewContext(analyzer.Config{Cache: c.store.PartialCache(), Keys: ids}, exps...)
 	if err != nil {
 		return nil, err
 	}

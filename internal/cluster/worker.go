@@ -140,20 +140,14 @@ func (w *Worker) handlePartial(rw http.ResponseWriter, r *http.Request) {
 // one stored experiment.
 func (w *Worker) context(expID string) (*analyzer.Analyzer, error) {
 	return w.ctxs.Do(expID, func() (*analyzer.Analyzer, error) {
-		dirs, err := w.store.Dirs([]string{expID})
-		if err != nil {
-			return nil, err
-		}
-		exp, err := experiment.Open(dirs[0])
+		ids := []string{expID}
+		exps, err := w.store.OpenExperiments(ids)
 		if err != nil {
 			return nil, err
 		}
 		// The cache key namespace matches the store's local reduction
 		// (experiment ID), so both paths share memoized partials.
-		return analyzer.NewContext(analyzer.Config{
-			Cache: w.store.PartialCache(),
-			Keys:  []string{expID},
-		}, exp)
+		return analyzer.NewContext(analyzer.Config{Cache: w.store.PartialCache(), Keys: ids}, exps...)
 	})
 }
 

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -339,47 +338,29 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 	exp.Meta.ECacheLine = cfg.ECache.LineBytes
 	exp.Meta.Label = opts.Label
 
-	// With a spool directory, counter events stream to v2 shard files
-	// as they are delivered instead of accumulating in exp.HWC. The
-	// provisional header (meta marked "in progress" + program object)
-	// goes in first: from that moment a crash anywhere mid-run leaves a
-	// directory experiment.Recover can turn back into an analyzable
-	// experiment.
+	// With a spool directory, counter events and provenance records
+	// stream to v2 shard files as they are delivered instead of
+	// accumulating in exp.HWC and exp.Prov. The provisional header
+	// (meta marked "in progress" + program object) goes in first: from
+	// that moment a crash anywhere mid-run leaves a directory
+	// experiment.Recover can turn back into an analyzable experiment.
 	fsys := faultfs.Or(opts.FS)
-	var spool [2]*experiment.ShardWriter
-	var provSpool *experiment.ProvWriter
+	var spool *experiment.Spool
 	var spoolErr error
 	if opts.SpoolDir != "" {
 		if err := exp.WriteProvisional(fsys, opts.SpoolDir); err != nil {
 			return nil, fmt.Errorf("collect: spool dir: %w", err)
 		}
-		for pic, cs := range opts.Counters {
-			if cs.Event == hwc.EvNone {
-				continue
-			}
-			w, err := experiment.NewShardWriterFS(fsys,
-				filepath.Join(opts.SpoolDir, experiment.ShardFileName(pic)), pic)
-			if err != nil {
-				return nil, err
-			}
-			w.SetShardEvents(opts.SpoolShardEvents)
-			spool[pic] = w
-		}
-		if opts.Provenance {
-			w, err := experiment.NewProvWriterFS(fsys,
-				filepath.Join(opts.SpoolDir, experiment.ProvFileName))
-			if err != nil {
-				return nil, err
-			}
-			w.SetShardEvents(opts.SpoolShardEvents)
-			provSpool = w
+		spool, err = experiment.OpenSpool(fsys, opts.SpoolDir, exp.Meta.Counters, opts.Provenance, opts.SpoolShardEvents)
+		if err != nil {
+			return nil, err
 		}
 	}
 
 	if opts.Provenance {
 		m.OnProv = func(rec machine.ProvRecord) {
-			if provSpool != nil {
-				if err := provSpool.Append(rec); err != nil && spoolErr == nil {
+			if spool != nil {
+				if err := spool.AppendProv(rec); err != nil && spoolErr == nil {
 					spoolErr = err
 				}
 				return
@@ -405,8 +386,8 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 				}
 			}
 		}
-		if w := spool[e.PIC]; w != nil {
-			if err := w.Append(rec); err != nil && spoolErr == nil {
+		if spool != nil {
+			if err := spool.AppendEvent(rec); err != nil && spoolErr == nil {
 				spoolErr = err
 			}
 		} else {
@@ -450,32 +431,12 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 	exp.Allocs = m.Allocs()
 	exp.Meta.Output = m.OutputLongs()
 
-	// Close the spool writers on every exit path — including
-	// cancellation — so the partial tail shard reaches disk and the
-	// experiment keeps every event delivered before the cut.
-	for pic, w := range spool {
-		if w == nil {
-			continue
-		}
-		path := filepath.Join(opts.SpoolDir, experiment.ShardFileName(pic))
-		if err := w.Close(); err != nil && spoolErr == nil {
+	// Close the spool on every exit path — including cancellation — so
+	// the partial tail shards reach disk and the experiment keeps every
+	// record delivered before the cut.
+	if spool != nil {
+		if err := spool.Close(exp); err != nil && spoolErr == nil {
 			spoolErr = err
-		}
-		if w.Count() == 0 {
-			fsys.Remove(path)
-			continue
-		}
-		exp.AdoptShards(pic, path, w.Shards())
-	}
-	if provSpool != nil {
-		path := filepath.Join(opts.SpoolDir, experiment.ProvFileName)
-		if err := provSpool.Close(); err != nil && spoolErr == nil {
-			spoolErr = err
-		}
-		if provSpool.Count() == 0 {
-			fsys.Remove(path)
-		} else {
-			exp.AdoptProvShards(path, provSpool.Shards())
 		}
 	}
 	if spoolErr != nil && runErr == nil {

@@ -11,9 +11,10 @@
 // recorded.
 //
 // Two format versions exist. Version 1 stored each PIC's events as one
-// monolithic gob blob (hwc0.gob/hwc1.gob); version 2 stores them as
-// sharded files (hwc0.ev2/hwc1.ev2, see shard.go) so events stream to
-// disk as collected and analysis can read disjoint shards in parallel.
+// monolithic gob blob (hwc0.gob/hwc1.gob); version 2 stores them, and
+// provenance records, as sharded streams (hwc0.ev2/hwc1.ev2/prov.pv2,
+// see stream.go) so records stream to disk as collected and analysis
+// can read disjoint shards in parallel.
 // Load and Open negotiate the version from the meta header: v1
 // experiments remain fully readable through a compatibility decoder.
 package experiment
@@ -120,20 +121,8 @@ type Experiment struct {
 	Prov   []machine.ProvRecord // allocation-site provenance (empty unless collected)
 	Prog   *asm.Program
 
-	// Sharded event-stream backing. hwcPath[pic] is non-empty when the
-	// PIC's events live in a v2 shard file rather than in HWC;
-	// hwcShards is the shard index (real offsets for file-backed PICs,
-	// synthetic descriptors otherwise).
-	hwcPath   [NumPICs]string
-	hwcShards [NumPICs][]Shard
-	hwcCount  [NumPICs]int
-	hwcOwned  [NumPICs]bool // true for spooled files Save may rename away
-
-	// Provenance shard backing, the prov.pv2 analogue of the above.
-	provPath   string
-	provShards []Shard
-	provCount  int
-	provOwned  bool
+	// Sharded backing of HWC[0], HWC[1] and Prov, indexed by stream id.
+	streams [numStreams]stream
 }
 
 // Interval returns the overflow interval for the counter on PIC pic.
@@ -156,18 +145,9 @@ const (
 	progFile   = "program.obj"
 )
 
-// hwcV2Name returns the v2 shard file name for a PIC.
-func hwcV2Name(pic int) string {
-	if pic == 0 {
-		return hwcEv2_0
-	}
-	return hwcEv2_1
-}
-
 // ShardFileName returns the name of the v2 shard file for a PIC inside
-// an experiment directory ("hwc0.ev2"/"hwc1.ev2") — for collectors that
-// spool events straight into the output directory.
-func ShardFileName(pic int) string { return hwcV2Name(pic) }
+// an experiment directory ("hwc0.ev2"/"hwc1.ev2").
+func ShardFileName(pic int) string { return streamFiles[pic].name }
 
 // writeFileAtomic writes dir/name via a same-directory temp file and a
 // rename, so a crash at any point leaves either the old complete file or
@@ -232,91 +212,28 @@ func readGob(dir, name string, v any) (err error) {
 	return nil
 }
 
-// AdoptShards attaches a spooled shard file (written by a ShardWriter
-// during collection) as the backing store for one PIC. The experiment
-// keeps HWC[pic] empty; Save will move or copy the file into the
-// experiment directory.
-func (e *Experiment) AdoptShards(pic int, path string, shards []Shard) {
-	e.hwcPath[pic] = path
-	e.hwcShards[pic] = shards
-	e.hwcOwned[pic] = true
-	n := 0
-	for _, sh := range shards {
-		n += sh.Count
-	}
-	e.hwcCount[pic] = n
-}
-
-// AdoptProvShards attaches a spooled provenance shard file (written by a
-// ProvWriter during collection) as the experiment's provenance backing.
-// The experiment keeps Prov empty; Save will move or copy the file into
-// the experiment directory.
-func (e *Experiment) AdoptProvShards(path string, shards []Shard) {
-	e.provPath = path
-	e.provShards = shards
-	e.provOwned = true
-	n := 0
-	for _, sh := range shards {
-		n += sh.Count
-	}
-	e.provCount = n
-}
-
 // ProvCount returns the number of provenance records recorded, without
 // decoding file-backed streams. Zero means provenance was not collected.
-func (e *Experiment) ProvCount() int {
-	if e.provPath != "" {
-		return e.provCount
-	}
-	return len(e.Prov)
-}
+func (e *Experiment) ProvCount() int { return e.streams[provStream].total(len(e.Prov)) }
 
 // ProvShards returns the provenance shard table: real file-backed shards
 // for streamed experiments, synthetic fixed-size slices of Prov
 // otherwise.
-func (e *Experiment) ProvShards() []Shard {
-	if e.provPath != "" {
-		return e.provShards
-	}
-	if e.provShards == nil && len(e.Prov) > 0 {
-		e.provShards = syntheticProvShards(e.Prov)
-	}
-	return e.provShards
-}
+func (e *Experiment) ProvShards() []Shard { return provKind.shards(&e.streams[provStream], e.Prov) }
 
 // ReadProvShard returns one provenance shard's records. Like ReadShard,
 // file-backed reads use their own file handle (safe from concurrent
 // workers) and in-memory reads return a subslice callers must not
 // modify.
 func (e *Experiment) ReadProvShard(i int) ([]machine.ProvRecord, error) {
-	shards := e.ProvShards()
-	if i < 0 || i >= len(shards) {
-		return nil, fmt.Errorf("experiment: ReadProvShard: shard %d/%d out of range", i, len(shards))
-	}
-	if e.provPath == "" {
-		lo := i * DefaultShardEvents
-		hi := lo + shards[i].Count
-		return e.Prov[lo:hi:hi], nil
-	}
-	return readProvShardFile(e.provPath, shards[i])
+	return provKind.read(&e.streams[provStream], e.Prov, i)
 }
 
 // ProvRecords streams every provenance record to fn in collection order
 // without materializing file-backed streams. fn returning an error stops
 // the iteration and ProvRecords returns that error.
 func (e *Experiment) ProvRecords(fn func(machine.ProvRecord) error) error {
-	for i := range e.ProvShards() {
-		recs, err := e.ReadProvShard(i)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return forEach(len(e.ProvShards()), e.ReadProvShard, fn)
 }
 
 // EventCount returns the number of counter events recorded for a PIC,
@@ -325,10 +242,7 @@ func (e *Experiment) EventCount(pic int) int {
 	if pic < 0 || pic >= NumPICs {
 		return 0
 	}
-	if e.hwcPath[pic] != "" {
-		return e.hwcCount[pic]
-	}
-	return len(e.HWC[pic])
+	return e.streams[pic].total(len(e.HWC[pic]))
 }
 
 // Shards returns the shard table for a PIC: real file-backed shards for
@@ -338,13 +252,7 @@ func (e *Experiment) Shards(pic int) []Shard {
 	if pic < 0 || pic >= NumPICs {
 		return nil
 	}
-	if e.hwcPath[pic] != "" {
-		return e.hwcShards[pic]
-	}
-	if e.hwcShards[pic] == nil && len(e.HWC[pic]) > 0 {
-		e.hwcShards[pic] = syntheticShards(pic, e.HWC[pic])
-	}
-	return e.hwcShards[pic]
+	return eventKinds[pic].shards(&e.streams[pic], e.HWC[pic])
 }
 
 // ReadShard returns one shard's events. For file-backed experiments it
@@ -357,21 +265,13 @@ func (e *Experiment) ReadShard(pic, i int) ([]HWCEvent, error) {
 	if pic < 0 || pic >= NumPICs {
 		return nil, fmt.Errorf("experiment: ReadShard: PIC %d out of range", pic)
 	}
-	shards := e.Shards(pic)
-	if i < 0 || i >= len(shards) {
-		return nil, fmt.Errorf("experiment: ReadShard: shard %d/%d out of range", i, len(shards))
-	}
-	if e.hwcPath[pic] == "" {
-		lo := i * DefaultShardEvents
-		hi := lo + shards[i].Count
-		return e.HWC[pic][lo:hi:hi], nil
-	}
-	evs, err := readShardFile(e.hwcPath[pic], shards[i])
-	if err != nil {
-		return nil, err
+	s := &e.streams[pic]
+	evs, err := eventKinds[pic].read(s, e.HWC[pic], i)
+	if err != nil || s.path == "" {
+		return evs, err
 	}
 	if err := validateEvents(pic, evs, e.Meta.Counters); err != nil {
-		return nil, fmt.Errorf("%s: shard %d: %w", e.hwcPath[pic], i, err)
+		return nil, fmt.Errorf("%s: shard %d: %w", s.path, i, err)
 	}
 	return evs, nil
 }
@@ -382,16 +282,9 @@ func (e *Experiment) ReadShard(pic, i int) ([]HWCEvent, error) {
 // iteration and Events returns that error.
 func (e *Experiment) Events(fn func(HWCEvent) error) error {
 	for pic := 0; pic < NumPICs; pic++ {
-		for i := range e.Shards(pic) {
-			evs, err := e.ReadShard(pic, i)
-			if err != nil {
-				return err
-			}
-			for _, ev := range evs {
-				if err := fn(ev); err != nil {
-					return err
-				}
-			}
+		read := func(i int) ([]HWCEvent, error) { return e.ReadShard(pic, i) }
+		if err := forEach(len(e.Shards(pic)), read, fn); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -449,14 +342,14 @@ func (e *Experiment) SaveFS(fsys faultfs.FS, dir string) error {
 		return err
 	}
 	for pic := 0; pic < NumPICs; pic++ {
-		if err := e.saveHWC(fsys, dir, pic); err != nil {
+		if err := eventKinds[pic].save(fsys, dir, &e.streams[pic], e.HWC[pic]); err != nil {
 			return err
 		}
 	}
 	if err := writeGob(fsys, dir, allocsFile, e.Allocs); err != nil {
 		return err
 	}
-	if err := e.saveProv(fsys, dir); err != nil {
+	if err := provKind.save(fsys, dir, &e.streams[provStream], e.Prov); err != nil {
 		return err
 	}
 	if e.Prog != nil {
@@ -475,81 +368,6 @@ func (e *Experiment) SaveFS(fsys faultfs.FS, dir string) error {
 		return err
 	}
 	return fsys.SyncDir(dir)
-}
-
-// saveHWC writes one PIC's events into dir as a v2 shard file. A
-// file-backed PIC whose shard file already lives at the target path is
-// left in place; one spooled elsewhere is renamed in (falling back to a
-// copy across filesystems). PICs with no events write no file.
-func (e *Experiment) saveHWC(fsys faultfs.FS, dir string, pic int) error {
-	target := filepath.Join(dir, hwcV2Name(pic))
-	if src := e.hwcPath[pic]; src != "" {
-		if same, err := samePath(src, target); err == nil && same {
-			return nil
-		}
-		if e.hwcOwned[pic] {
-			// Spooled by the collector: move into place (copy across
-			// filesystems).
-			if err := fsys.Rename(src, target); err != nil {
-				if err := copyFile(fsys, src, target); err != nil {
-					return fmt.Errorf("experiment: moving spooled shards: %w", err)
-				}
-				fsys.Remove(src)
-			}
-		} else {
-			// Opened from another experiment directory: the source must
-			// stay readable, so copy.
-			if err := copyFile(fsys, src, target); err != nil {
-				return fmt.Errorf("experiment: copying shards: %w", err)
-			}
-		}
-		e.hwcPath[pic] = target
-		return nil
-	}
-	// No stale file from a previous Save into the same directory.
-	if len(e.HWC[pic]) == 0 {
-		if _, err := os.Stat(target); err == nil {
-			fsys.Remove(target)
-		}
-		return nil
-	}
-	_, err := writeShardFile(fsys, target, pic, e.HWC[pic])
-	return err
-}
-
-// saveProv writes the provenance stream into dir as prov.pv2, with the
-// same leave/move/copy semantics as saveHWC. Experiments without
-// provenance write no file (and remove a stale one), so a
-// provenance-free Save is byte-identical to the pre-provenance format.
-func (e *Experiment) saveProv(fsys faultfs.FS, dir string) error {
-	target := filepath.Join(dir, ProvFileName)
-	if src := e.provPath; src != "" {
-		if same, err := samePath(src, target); err == nil && same {
-			return nil
-		}
-		if e.provOwned {
-			if err := fsys.Rename(src, target); err != nil {
-				if err := copyFile(fsys, src, target); err != nil {
-					return fmt.Errorf("experiment: moving spooled prov shards: %w", err)
-				}
-				fsys.Remove(src)
-			}
-		} else {
-			if err := copyFile(fsys, src, target); err != nil {
-				return fmt.Errorf("experiment: copying prov shards: %w", err)
-			}
-		}
-		e.provPath = target
-		return nil
-	}
-	if len(e.Prov) == 0 {
-		if _, err := os.Stat(target); err == nil {
-			fsys.Remove(target)
-		}
-		return nil
-	}
-	_, err := writeProvFile(fsys, target, e.Prov)
-	return err
 }
 
 // samePath reports whether two paths name the same file.
@@ -628,35 +446,13 @@ func Load(dir string) (*Experiment, error) {
 	}
 	// Materialize file-backed streams.
 	for pic := 0; pic < NumPICs; pic++ {
-		if e.hwcPath[pic] == "" {
-			continue
+		read := func(i int) ([]HWCEvent, error) { return e.ReadShard(pic, i) }
+		if err := materialize(&e.streams[pic], &e.HWC[pic], read); err != nil {
+			return nil, fmt.Errorf("experiment %s: %w", dir, err)
 		}
-		evs := make([]HWCEvent, 0, e.hwcCount[pic])
-		for i := range e.hwcShards[pic] {
-			sevs, err := e.ReadShard(pic, i)
-			if err != nil {
-				return nil, fmt.Errorf("experiment %s: %w", dir, err)
-			}
-			evs = append(evs, sevs...)
-		}
-		e.HWC[pic] = evs
-		e.hwcPath[pic] = ""
-		e.hwcShards[pic] = nil
-		e.hwcCount[pic] = 0
 	}
-	if e.provPath != "" {
-		recs := make([]machine.ProvRecord, 0, e.provCount)
-		for i := range e.provShards {
-			srecs, err := e.ReadProvShard(i)
-			if err != nil {
-				return nil, fmt.Errorf("experiment %s: %w", dir, err)
-			}
-			recs = append(recs, srecs...)
-		}
-		e.Prov = recs
-		e.provPath = ""
-		e.provShards = nil
-		e.provCount = 0
+	if err := materialize(&e.streams[provStream], &e.Prov, e.ReadProvShard); err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", dir, err)
 	}
 	return e, nil
 }
@@ -712,40 +508,20 @@ func open(dir string) (*Experiment, error) {
 		}
 	default:
 		// v2: scan the shard indexes; payloads stay on disk.
-		for pic := 0; pic < NumPICs; pic++ {
-			path := filepath.Join(dir, hwcV2Name(pic))
-			shards, err := readShardIndex(path, pic)
+		for id, sf := range streamFiles {
+			path := filepath.Join(dir, sf.name)
+			shards, err := sf.index(path)
 			if err != nil {
-				return nil, fmt.Errorf("experiment %s: reading hwc%d shards: %w", dir, pic, err)
+				return nil, fmt.Errorf("experiment %s: reading %s: %w", dir, sf.name, err)
 			}
 			if len(shards) == 0 {
 				continue
 			}
-			if e.Meta.Counters[pic].Event == hwc.EvNone {
+			if id < NumPICs && e.Meta.Counters[id].Event == hwc.EvNone {
 				return nil, fmt.Errorf("experiment %s: %s: events recorded for PIC %d, but no counter is armed on it",
-					dir, hwcV2Name(pic), pic)
+					dir, sf.name, id)
 			}
-			n := 0
-			for _, sh := range shards {
-				n += sh.Count
-			}
-			e.hwcPath[pic] = path
-			e.hwcShards[pic] = shards
-			e.hwcCount[pic] = n
-		}
-		provPath := filepath.Join(dir, ProvFileName)
-		provShards, err := readProvIndex(provPath)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: reading prov shards: %w", dir, err)
-		}
-		if len(provShards) > 0 {
-			n := 0
-			for _, sh := range provShards {
-				n += sh.Count
-			}
-			e.provPath = provPath
-			e.provShards = provShards
-			e.provCount = n
+			e.streams[id] = fileStream(path, shards, false)
 		}
 		// Attach the manifest's shard checksums when one exists, so
 		// every shard read is integrity-checked. Pre-manifest and

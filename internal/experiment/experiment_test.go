@@ -50,6 +50,9 @@ func sample() *Experiment {
 		EA: 0x40000000, HasEA: true, Callstack: []uint64{machine.TextBase}, Cycles: 42,
 	}}
 	e.Allocs = []machine.Alloc{{Addr: 0x40000000, Size: 128, Seq: 0}}
+	e.Prov = []machine.ProvRecord{{
+		Site: machine.TextBase, Addr: 0x40000000, Size: 128, Seq: 0, Birth: 10, Death: 4000, Freed: true,
+	}}
 	return e
 }
 
@@ -96,6 +99,9 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 	if len(back.Allocs) != 1 || back.Allocs[0].Size != 128 {
 		t.Error("allocs lost")
+	}
+	if !reflect.DeepEqual(back.Prov, e.Prov) {
+		t.Errorf("provenance lost: %+v", back.Prov)
 	}
 	if back.Prog == nil || back.Prog.Debug.FuncByName("main") == nil {
 		t.Error("program lost")

@@ -4,9 +4,9 @@ package experiment
 // writes manifest.json as the last file of an experiment directory — so
 // its presence certifies that every other file was completely written —
 // recording each data file's size and CRC32 and, for the sharded
-// counter-event files, each shard's event count, payload size, and
-// payload CRC32. Open attaches the shard checksums so every ReadShard
-// verifies its payload; Recover compares the damaged directory against
+// streams (hwc0.ev2, hwc1.ev2, prov.pv2), each shard's record count,
+// payload size, and payload CRC32. Open attaches the shard checksums so
+// every shard read verifies its payload; Recover compares the damaged directory against
 // the manifest to salvage the longest validated shard prefix and report
 // exactly what was lost.
 
@@ -31,7 +31,7 @@ type FileSum struct {
 	CRC32 uint32 `json:"crc32"`
 }
 
-// ShardSum is one counter-event shard's manifest entry; the checksum
+// ShardSum is one shard's manifest entry; the checksum
 // covers the shard's gob payload (not its binary header).
 type ShardSum struct {
 	Count int    `json:"count"`
@@ -51,7 +51,7 @@ type Manifest struct {
 }
 
 // manifestDataFiles are the experiment files the manifest covers, beyond
-// the sharded counter-event files (covered per shard). program.obj is
+// the sharded streams (covered per shard). program.obj is
 // deliberately absent: gob encodes its debug-table maps in random
 // iteration order, so its bytes differ between two saves of the same
 // program and a checksum would make otherwise-identical experiment
@@ -90,60 +90,49 @@ func BuildManifest(dir string) (*Manifest, error) {
 		}
 		m.Files[name] = sum
 	}
-	for pic := 0; pic < NumPICs; pic++ {
-		path := filepath.Join(dir, hwcV2Name(pic))
-		shards, err := readShardIndex(path, pic)
+	for id, sf := range streamFiles {
+		path := filepath.Join(dir, sf.name)
+		shards, err := sf.index(path)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: manifest: %w", err)
 		}
-		if shards == nil {
+		if len(shards) == 0 {
 			continue
 		}
-		sum, err := fileSum(path)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: manifest: %s: %w", hwcV2Name(pic), err)
+		if m.Files[sf.name], err = fileSum(path); err != nil {
+			return nil, fmt.Errorf("experiment: manifest: %s: %w", sf.name, err)
 		}
-		m.Files[hwcV2Name(pic)] = sum
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: manifest: %w", err)
+		if *m.sums(id), err = shardSums(path, shards); err != nil {
+			return nil, fmt.Errorf("experiment: manifest: %s %w", sf.name, err)
 		}
-		for _, sh := range shards {
-			h := crc32.NewIEEE()
-			if _, err := io.Copy(h, io.NewSectionReader(f, sh.offset, sh.length)); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("experiment: manifest: %s shard %d: %w", hwcV2Name(pic), sh.Index, err)
-			}
-			m.Shards[pic] = append(m.Shards[pic], ShardSum{Count: sh.Count, Bytes: sh.length, CRC32: h.Sum32()})
-		}
-		f.Close()
-	}
-	provPath := filepath.Join(dir, ProvFileName)
-	provShards, err := readProvIndex(provPath)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: manifest: %w", err)
-	}
-	if len(provShards) > 0 {
-		sum, err := fileSum(provPath)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: manifest: %s: %w", ProvFileName, err)
-		}
-		m.Files[ProvFileName] = sum
-		f, err := os.Open(provPath)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: manifest: %w", err)
-		}
-		for _, sh := range provShards {
-			h := crc32.NewIEEE()
-			if _, err := io.Copy(h, io.NewSectionReader(f, sh.offset, sh.length)); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("experiment: manifest: %s shard %d: %w", ProvFileName, sh.Index, err)
-			}
-			m.Prov = append(m.Prov, ShardSum{Count: sh.Count, Bytes: sh.length, CRC32: h.Sum32()})
-		}
-		f.Close()
 	}
 	return m, nil
+}
+
+// shardSums checksums every shard payload of the file at path.
+func shardSums(path string, shards []Shard) ([]ShardSum, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	sums := make([]ShardSum, 0, len(shards))
+	for _, sh := range shards {
+		h := crc32.NewIEEE()
+		if _, err := io.Copy(h, io.NewSectionReader(f, sh.offset, sh.length)); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
+		}
+		sums = append(sums, ShardSum{Count: sh.Count, Bytes: sh.length, CRC32: h.Sum32()})
+	}
+	return sums, nil
+}
+
+// sums returns the shard sums of stream id: a PIC's, or provenance's.
+func (m *Manifest) sums(id int) *[]ShardSum {
+	if id == provStream {
+		return &m.Prov
+	}
+	return &m.Shards[id]
 }
 
 // WriteManifest computes and atomically writes dir's manifest — the
@@ -184,19 +173,13 @@ func ReadManifest(dir string) (*Manifest, error) {
 // unverified rather than failing: the manifest hardens reads, it is not
 // required for them.
 func (e *Experiment) attachManifest(m *Manifest) {
-	for pic := 0; pic < NumPICs; pic++ {
-		sums := m.Shards[pic]
-		for i := range e.hwcShards[pic] {
-			if i < len(sums) && e.hwcShards[pic][i].length == sums[i].Bytes {
-				e.hwcShards[pic][i].crc = sums[i].CRC32
-				e.hwcShards[pic][i].hasCRC = true
+	for id := range e.streams {
+		sums, shards := *m.sums(id), e.streams[id].shards
+		for i := range shards {
+			if i < len(sums) && shards[i].length == sums[i].Bytes {
+				shards[i].crc = sums[i].CRC32
+				shards[i].hasCRC = true
 			}
-		}
-	}
-	for i := range e.provShards {
-		if i < len(m.Prov) && e.provShards[i].length == m.Prov[i].Bytes {
-			e.provShards[i].crc = m.Prov[i].CRC32
-			e.provShards[i].hasCRC = true
 		}
 	}
 }

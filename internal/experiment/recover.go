@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"dsprof/internal/faultfs"
-	"dsprof/internal/machine"
 )
 
 // Typed recovery losses. Each Loss.Err in a RecoveryReport wraps one of
@@ -84,35 +83,22 @@ func (r *RecoveryReport) Summary() string {
 		return ""
 	}
 	var parts []string
+	// lost notes one stream's loss, if any.
+	lost := func(name, unit string, shardsKept, shardsLost, recsLost int) {
+		switch {
+		case shardsLost == 0 && recsLost == 0:
+		case recsLost >= 0:
+			parts = append(parts, fmt.Sprintf("%s lost %d shards (%d %ss)", name, shardsLost, recsLost, unit))
+		case shardsLost >= 0:
+			parts = append(parts, fmt.Sprintf("%s lost %d shards (%s count unknown)", name, shardsLost, unit))
+		default:
+			parts = append(parts, fmt.Sprintf("%s lost an unknown tail after shard %d", name, shardsKept-1))
+		}
+	}
 	for pic := 0; pic < NumPICs; pic++ {
-		if r.ShardsLost[pic] == 0 && r.EventsLost[pic] == 0 {
-			continue
-		}
-		switch {
-		case r.EventsLost[pic] >= 0:
-			parts = append(parts, fmt.Sprintf("pic%d lost %d shards (%d events)",
-				pic, r.ShardsLost[pic], r.EventsLost[pic]))
-		case r.ShardsLost[pic] >= 0:
-			parts = append(parts, fmt.Sprintf("pic%d lost %d shards (event count unknown)",
-				pic, r.ShardsLost[pic]))
-		default:
-			parts = append(parts, fmt.Sprintf("pic%d lost an unknown tail after shard %d",
-				pic, r.ShardsKept[pic]-1))
-		}
+		lost(fmt.Sprintf("pic%d", pic), "event", r.ShardsKept[pic], r.ShardsLost[pic], r.EventsLost[pic])
 	}
-	if r.ProvShardsLost != 0 || r.ProvLost != 0 {
-		switch {
-		case r.ProvLost >= 0:
-			parts = append(parts, fmt.Sprintf("provenance lost %d shards (%d records)",
-				r.ProvShardsLost, r.ProvLost))
-		case r.ProvShardsLost >= 0:
-			parts = append(parts, fmt.Sprintf("provenance lost %d shards (record count unknown)",
-				r.ProvShardsLost))
-		default:
-			parts = append(parts, fmt.Sprintf("provenance lost an unknown tail after shard %d",
-				r.ProvShardsKept-1))
-		}
-	}
+	lost("provenance", "record", r.ProvShardsKept, r.ProvShardsLost, r.ProvLost)
 	if r.ClockLost {
 		parts = append(parts, "clock data lost")
 	}
@@ -237,27 +223,25 @@ func RecoverFS(fsys faultfs.FS, dir string) (*RecoveryReport, error) {
 	}
 
 	for pic := 0; pic < NumPICs; pic++ {
-		kept, shardsKept, lost, eventsLost, loss := recoverPIC(dir, pic, e.Meta, man)
+		var loss error
+		if e.Meta.FormatVersion == 1 {
+			e.HWC[pic], rep.ShardsKept[pic], rep.ShardsLost[pic], rep.EventsLost[pic], loss = recoverV1(dir, pic, e.Meta)
+		} else {
+			check := func(evs []HWCEvent) error { return validateEvents(pic, evs, e.Meta.Counters) }
+			e.HWC[pic], rep.ShardsKept[pic], rep.ShardsLost[pic], rep.EventsLost[pic], loss = salvage(eventKinds[pic], dir, man, pic, check)
+		}
 		if loss != nil {
 			rep.addLoss(shardLossFile(e.Meta.FormatVersion, pic), loss)
 		}
-		e.HWC[pic] = kept
-		rep.ShardsKept[pic] = shardsKept
-		rep.ShardsLost[pic] = lost
-		rep.EventsKept[pic] = len(kept)
-		rep.EventsLost[pic] = eventsLost
+		rep.EventsKept[pic] = len(e.HWC[pic])
 	}
-
 	if e.Meta.FormatVersion >= 2 {
-		kept, shardsKept, lost, recsLost, loss := recoverProv(dir, man)
+		var loss error
+		e.Prov, rep.ProvShardsKept, rep.ProvShardsLost, rep.ProvLost, loss = salvage(provKind, dir, man, provStream, nil)
 		if loss != nil {
 			rep.addLoss(ProvFileName, loss)
 		}
-		e.Prov = kept
-		rep.ProvShardsKept = shardsKept
-		rep.ProvShardsLost = lost
-		rep.ProvKept = len(kept)
-		rep.ProvLost = recsLost
+		rep.ProvKept = len(e.Prov)
 	}
 
 	if !dirty && !rep.Degraded() {
@@ -284,52 +268,53 @@ func shardLossFile(version, pic int) string {
 		}
 		return hwcFile1
 	}
-	return hwcV2Name(pic)
+	return ShardFileName(pic)
 }
 
-// recoverPIC salvages one PIC's event stream: the longest prefix of
-// shards that is structurally whole, checksum-clean against the
-// manifest (when one exists), gob-decodable, and consistent with the
-// armed counters. It returns the kept events, the number of shards and
-// events known lost (-1 when unknowable), and the typed loss that cut
-// the prefix (nil if nothing was cut).
-func recoverPIC(dir string, pic int, meta Meta, man *Manifest) (kept []HWCEvent, shardsKept, shardsLost, eventsLost int, loss error) {
-	if meta.FormatVersion == 1 {
-		// v1: one monolithic gob blob — it decodes whole or not at all.
-		var evs []HWCEvent
-		name := shardLossFile(1, pic)
-		if err := readGob(dir, name, &evs); err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil, 0, 0, 0, nil
-			}
-			return nil, 0, -1, -1, fmt.Errorf("%w: %v (whole v1 event blob dropped)", ErrTornShard, err)
+// recoverV1 salvages one PIC of a format-v1 experiment: its one
+// monolithic gob blob decodes whole or not at all.
+func recoverV1(dir string, pic int, meta Meta) (kept []HWCEvent, shardsKept, shardsLost, eventsLost int, loss error) {
+	var evs []HWCEvent
+	name := shardLossFile(1, pic)
+	if err := readGob(dir, name, &evs); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, 0, 0, 0, nil
 		}
-		if err := validateEvents(pic, evs, meta.Counters); err != nil {
-			return nil, 0, -1, -1, fmt.Errorf("%s: %v (whole v1 event blob dropped)", name, err)
-		}
-		return evs, 1, 0, 0, nil
+		return nil, 0, -1, -1, fmt.Errorf("%w: %v (whole v1 event blob dropped)", ErrTornShard, err)
 	}
+	if err := validateEvents(pic, evs, meta.Counters); err != nil {
+		return nil, 0, -1, -1, fmt.Errorf("%s: %v (whole v1 event blob dropped)", name, err)
+	}
+	return evs, 1, 0, 0, nil
+}
 
-	path := filepath.Join(dir, hwcV2Name(pic))
-	shards, structLoss := scanShardPrefix(path, pic)
+// salvage keeps the longest prefix of stream id's shards that is
+// structurally whole, checksum-clean against the manifest (when one
+// exists), gob-decodable, and accepted by check (nil accepts all). It
+// returns the kept records, the number of shards kept, the numbers of
+// shards and records known lost (-1 when unknowable), and the typed
+// loss that cut the prefix (nil if nothing was cut).
+func salvage[T any](k kind[T], dir string, man *Manifest, id int, check func([]T) error) (kept []T, shardsKept, shardsLost, recsLost int, loss error) {
+	path := filepath.Join(dir, k.name)
+	shards, loss := k.scan(path)
 
 	// Checksum-validate the structural prefix against the manifest; the
 	// first mismatch cuts the prefix there.
 	var sums []ShardSum
 	if man != nil {
-		sums = man.Shards[pic]
+		sums = *man.sums(id)
 		for i := range shards {
 			if i >= len(sums) {
 				// More shards on disk than the manifest certifies (a
 				// stale manifest from an interrupted re-Save): the
 				// uncertified tail cannot be trusted.
 				shards = shards[:i]
-				structLoss = fmt.Errorf("%s: shard %d: %w: shard not in manifest", path, i, ErrChecksumMismatch)
+				loss = fmt.Errorf("%s: shard %d: %w: shard not in manifest", path, i, ErrChecksumMismatch)
 				break
 			}
 			if shards[i].length != sums[i].Bytes || shards[i].Count != sums[i].Count {
 				shards = shards[:i]
-				structLoss = fmt.Errorf("%s: shard %d: %w: size/count disagree with manifest", path, i, ErrChecksumMismatch)
+				loss = fmt.Errorf("%s: shard %d: %w: size/count disagree with manifest", path, i, ErrChecksumMismatch)
 				break
 			}
 			shards[i].crc = sums[i].CRC32
@@ -337,100 +322,40 @@ func recoverPIC(dir string, pic int, meta Meta, man *Manifest) (kept []HWCEvent,
 		}
 		// A file cut exactly at a shard boundary scans clean but is
 		// still short of what the manifest certifies.
-		if structLoss == nil && len(shards) < len(sums) {
-			structLoss = fmt.Errorf("%s: %w: %d shards on disk, manifest certifies %d",
+		if loss == nil && len(shards) < len(sums) {
+			loss = fmt.Errorf("%s: %w: %d shards on disk, manifest certifies %d",
 				path, ErrTornShard, len(shards), len(sums))
 		}
 	}
 
-	// Decode the prefix; ReadShard-level verification (checksum, gob,
-	// header/event count agreement) can still cut it further.
+	// Decode the prefix; read-level verification (checksum, gob,
+	// header/record count agreement, check) can still cut it further.
 	for i, sh := range shards {
-		evs, err := readShardFile(path, sh)
-		if err == nil {
-			err = validateEvents(pic, evs, meta.Counters)
+		recs, err := decodeShard[T](path, sh)
+		if err == nil && check != nil {
+			err = check(recs)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrChecksumMismatch) {
 				err = fmt.Errorf("%w: %v", ErrTornShard, err)
 			}
 			shards = shards[:i]
-			structLoss = err
-			break
-		}
-		kept = append(kept, evs...)
-	}
-
-	if structLoss == nil {
-		return kept, len(shards), 0, 0, nil
-	}
-	// Quantify the cut. With a manifest the exact event deficit is
-	// known; without one, the tail length is unknowable.
-	if sums != nil {
-		shardsLost = len(sums) - len(shards)
-		eventsLost = 0
-		for _, s := range sums[len(shards):] {
-			eventsLost += s.Count
-		}
-		return kept, len(shards), shardsLost, eventsLost, structLoss
-	}
-	return kept, len(shards), -1, -1, structLoss
-}
-
-// recoverProv salvages the provenance stream the same way recoverPIC
-// salvages a PIC's events: longest structurally whole prefix, cut at the
-// first manifest disagreement or decode failure, exact losses when the
-// manifest quantifies them.
-func recoverProv(dir string, man *Manifest) (kept []machine.ProvRecord, shardsKept, shardsLost, recsLost int, loss error) {
-	path := filepath.Join(dir, ProvFileName)
-	shards, structLoss := scanShardPrefixMagic(path, provMagic, provPIC)
-
-	var sums []ShardSum
-	if man != nil {
-		sums = man.Prov
-		for i := range shards {
-			if i >= len(sums) {
-				shards = shards[:i]
-				structLoss = fmt.Errorf("%s: shard %d: %w: shard not in manifest", path, i, ErrChecksumMismatch)
-				break
-			}
-			if shards[i].length != sums[i].Bytes || shards[i].Count != sums[i].Count {
-				shards = shards[:i]
-				structLoss = fmt.Errorf("%s: shard %d: %w: size/count disagree with manifest", path, i, ErrChecksumMismatch)
-				break
-			}
-			shards[i].crc = sums[i].CRC32
-			shards[i].hasCRC = true
-		}
-		if structLoss == nil && len(shards) < len(sums) {
-			structLoss = fmt.Errorf("%s: %w: %d shards on disk, manifest certifies %d",
-				path, ErrTornShard, len(shards), len(sums))
-		}
-	}
-
-	for i, sh := range shards {
-		recs, err := readProvShardFile(path, sh)
-		if err != nil {
-			if !errors.Is(err, ErrChecksumMismatch) {
-				err = fmt.Errorf("%w: %v", ErrTornShard, err)
-			}
-			shards = shards[:i]
-			structLoss = err
+			loss = err
 			break
 		}
 		kept = append(kept, recs...)
 	}
 
-	if structLoss == nil {
+	if loss == nil {
 		return kept, len(shards), 0, 0, nil
 	}
-	if sums != nil {
-		shardsLost = len(sums) - len(shards)
-		recsLost = 0
-		for _, s := range sums[len(shards):] {
-			recsLost += s.Count
-		}
-		return kept, len(shards), shardsLost, recsLost, structLoss
+	// Quantify the cut. With a manifest the exact record deficit is
+	// known; without one, the tail length is unknowable.
+	if sums == nil {
+		return kept, len(shards), -1, -1, loss
 	}
-	return kept, len(shards), -1, -1, structLoss
+	for _, s := range sums[len(shards):] {
+		recsLost += s.Count
+	}
+	return kept, len(shards), len(sums) - len(shards), recsLost, loss
 }

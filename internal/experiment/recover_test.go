@@ -13,27 +13,31 @@ import (
 )
 
 // multiShardSample returns a sample experiment with enough PIC-0 events
-// for exactly four v2 shards (three full, one 17-event tail).
+// and provenance records for exactly four v2 shards each (three full,
+// one 17-record tail).
 func multiShardSample() *Experiment {
 	e := sample()
-	e.HWC[0] = nil
+	e.HWC[0], e.Prov = nil, nil
 	for i := 0; i < 3*DefaultShardEvents+17; i++ {
 		e.HWC[0] = append(e.HWC[0], HWCEvent{
 			PIC: 0, DeliveredPC: machine.TextBase + 4, CandidatePC: machine.TextBase,
 			EA: 0x40000000 + uint64(i), HasEA: true, Cycles: uint64(i) * 3,
 		})
+		e.Prov = append(e.Prov, machine.ProvRecord{
+			Site: machine.TextBase, Addr: 0x40000000 + uint64(64*i), Size: 64, Seq: i,
+			Birth: uint64(i) * 3, Death: uint64(i)*3 + 500, Freed: i%2 == 0,
+		})
 	}
 	return e
 }
 
-// shardOffsets computes, from the manifest, the file offset where each
-// PIC-0 shard's header begins (and, one past the end, where the file
-// ends): offsets[k] = 8-byte magic + preceding (24-byte header + payload)
-// records.
-func shardOffsets(t *testing.T, man *Manifest) []int64 {
-	t.Helper()
+// shardOffsets computes, from a stream's manifest sums, the file offset
+// where each shard's header begins (and, one past the end, where the
+// file ends): offsets[k] = 8-byte magic + preceding (24-byte header +
+// payload) records.
+func shardOffsets(sums []ShardSum) []int64 {
 	offs := []int64{8}
-	for _, s := range man.Shards[0] {
+	for _, s := range sums {
 		offs = append(offs, offs[len(offs)-1]+24+s.Bytes)
 	}
 	return offs
@@ -58,83 +62,116 @@ func flipByteAt(t *testing.T, path string, off int64) {
 	}
 }
 
+// recoverTarget is one damaged stream of TestRecoverTable: PIC 0's
+// events or the provenance records, with the report fields and loaded
+// records that stream owns.
+type recoverTarget struct {
+	id   int // stream id
+	file string
+	// report returns the stream's shards kept, records kept and records
+	// lost from a recovery report.
+	report func(r *RecoveryReport) (shardsKept, kept, lost int)
+	// matches reports whether back holds exactly the first n records of e.
+	matches func(back, e *Experiment, n int) bool
+}
+
+var recoverTargets = []recoverTarget{
+	{
+		id: 0, file: hwcEv2_0,
+		report: func(r *RecoveryReport) (int, int, int) { return r.ShardsKept[0], r.EventsKept[0], r.EventsLost[0] },
+		matches: func(back, e *Experiment, n int) bool {
+			return len(back.HWC[0]) == n && reflect.DeepEqual(back.HWC[0], e.HWC[0][:n])
+		},
+	},
+	{
+		id: provStream, file: ProvFileName,
+		report: func(r *RecoveryReport) (int, int, int) { return r.ProvShardsKept, r.ProvKept, r.ProvLost },
+		matches: func(back, e *Experiment, n int) bool {
+			return len(back.Prov) == n && reflect.DeepEqual(back.Prov, e.Prov[:n])
+		},
+	},
+}
+
 // TestRecoverTable drives Recover over every damage category the fault
-// model defines. Each case must salvage exactly the validated shard
-// prefix, report the loss with the right typed error, and leave a
-// directory that loads with the prefix's events intact.
+// model defines, once against PIC 0's hwc0.ev2 and once against
+// prov.pv2. Each case must salvage exactly the validated shard prefix of
+// the damaged stream, report the loss with the right typed error, leave
+// the other stream whole, and leave a directory that loads with the
+// prefix's records intact.
 func TestRecoverTable(t *testing.T) {
 	cases := []struct {
 		name string
-		// corrupt damages the saved directory; evPath is hwc0.ev2,
-		// offs the shard-boundary offsets from the intact manifest.
-		corrupt    func(t *testing.T, dir, evPath string, offs []int64, counts []int)
-		wantErr    error                  // typed error the pic-0 (or manifest) loss must wrap
-		keptShards int                    // shards salvaged on pic 0 (4 = all)
-		lostEvents func(counts []int) int // -1 = unknowable
+		// corrupt damages the saved directory; path is the target
+		// stream's file, offs its shard-boundary offsets from the
+		// intact manifest.
+		corrupt    func(t *testing.T, dir, path string, id int, offs []int64)
+		wantErr    error                  // typed error the stream's (or manifest) loss must wrap
+		keptShards int                    // shards salvaged (4 = all)
+		lostRecs   func(counts []int) int // -1 = unknowable
 	}{
 		{
 			name: "truncated header",
-			corrupt: func(t *testing.T, dir, evPath string, offs []int64, counts []int) {
+			corrupt: func(t *testing.T, dir, path string, id int, offs []int64) {
 				// Cut inside shard 2's 24-byte header.
-				truncateAt(t, evPath, offs[2]+9)
+				truncateAt(t, path, offs[2]+9)
 			},
 			wantErr:    ErrTruncatedHeader,
 			keptShards: 2,
-			lostEvents: func(c []int) int { return c[2] + c[3] },
+			lostRecs:   func(c []int) int { return c[2] + c[3] },
 		},
 		{
 			name: "torn mid-shard write",
-			corrupt: func(t *testing.T, dir, evPath string, offs []int64, counts []int) {
+			corrupt: func(t *testing.T, dir, path string, id int, offs []int64) {
 				// Cut midway through shard 1's payload.
-				truncateAt(t, evPath, offs[1]+24+(offs[2]-offs[1]-24)/2)
+				truncateAt(t, path, offs[1]+24+(offs[2]-offs[1]-24)/2)
 			},
 			wantErr:    ErrTornShard,
 			keptShards: 1,
-			lostEvents: func(c []int) int { return c[1] + c[2] + c[3] },
+			lostRecs:   func(c []int) int { return c[1] + c[2] + c[3] },
 		},
 		{
 			name: "truncated at shard boundary",
-			corrupt: func(t *testing.T, dir, evPath string, offs []int64, counts []int) {
+			corrupt: func(t *testing.T, dir, path string, id int, offs []int64) {
 				// The file scans structurally clean at 3 shards; only the
 				// manifest knows a 4th was certified.
-				truncateAt(t, evPath, offs[3])
+				truncateAt(t, path, offs[3])
 			},
 			wantErr:    ErrTornShard,
 			keptShards: 3,
-			lostEvents: func(c []int) int { return c[3] },
+			lostRecs:   func(c []int) int { return c[3] },
 		},
 		{
 			name: "missing manifest",
-			corrupt: func(t *testing.T, dir, evPath string, offs []int64, counts []int) {
+			corrupt: func(t *testing.T, dir, path string, id int, offs []int64) {
 				if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
 					t.Fatal(err)
 				}
 			},
 			wantErr:    ErrMissingManifest,
 			keptShards: 4,
-			lostEvents: func(c []int) int { return 0 },
+			lostRecs:   func(c []int) int { return 0 },
 		},
 		{
 			name: "checksum mismatch",
-			corrupt: func(t *testing.T, dir, evPath string, offs []int64, counts []int) {
+			corrupt: func(t *testing.T, dir, path string, id int, offs []int64) {
 				// Flip one payload byte in shard 2: structure stays whole,
 				// only the manifest checksum can catch it.
-				flipByteAt(t, evPath, offs[2]+24+5)
+				flipByteAt(t, path, offs[2]+24+5)
 			},
 			wantErr:    ErrChecksumMismatch,
 			keptShards: 2,
-			lostEvents: func(c []int) int { return c[2] + c[3] },
+			lostRecs:   func(c []int) int { return c[2] + c[3] },
 		},
 		{
 			name: "stale manifest certifies fewer shards",
-			corrupt: func(t *testing.T, dir, evPath string, offs []int64, counts []int) {
+			corrupt: func(t *testing.T, dir, path string, id int, offs []int64) {
 				// A manifest from before a re-Save appended shards: the
 				// uncertified tail cannot be trusted.
 				man, err := ReadManifest(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				man.Shards[0] = man.Shards[0][:2]
+				*man.sums(id) = (*man.sums(id))[:2]
 				if err := writeManifestRaw(dir, man); err != nil {
 					t.Fatal(err)
 				}
@@ -142,86 +179,95 @@ func TestRecoverTable(t *testing.T) {
 			wantErr:    ErrChecksumMismatch,
 			keptShards: 2,
 			// The uncertified tail never counted as validated data, so
-			// zero *validated* events are reported lost.
-			lostEvents: func(c []int) int { return 0 },
+			// zero *validated* records are reported lost.
+			lostRecs: func(c []int) int { return 0 },
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := multiShardSample()
-			dir := filepath.Join(t.TempDir(), "s.er")
-			if err := e.Save(dir); err != nil {
-				t.Fatal(err)
-			}
-			man, err := ReadManifest(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			offs := shardOffsets(t, man)
-			counts := make([]int, len(man.Shards[0]))
-			for i, s := range man.Shards[0] {
-				counts[i] = s.Count
-			}
-			evPath := filepath.Join(dir, hwcV2Name(0))
-			tc.corrupt(t, dir, evPath, offs, counts)
+			for _, tg := range recoverTargets {
+				t.Run(tg.file, func(t *testing.T) {
+					e := multiShardSample()
+					dir := filepath.Join(t.TempDir(), "s.er")
+					if err := e.Save(dir); err != nil {
+						t.Fatal(err)
+					}
+					man, err := ReadManifest(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sums := *man.sums(tg.id)
+					counts := make([]int, len(sums))
+					for i, s := range sums {
+						counts[i] = s.Count
+					}
+					tc.corrupt(t, dir, filepath.Join(dir, tg.file), tg.id, shardOffsets(sums))
 
-			rep, err := Recover(dir)
-			if err != nil {
-				t.Fatalf("Recover: %v", err)
-			}
-			if rep.Clean {
-				t.Fatal("damaged directory reported Clean")
-			}
-			var match bool
-			for _, l := range rep.Losses {
-				if errors.Is(l.Err, tc.wantErr) {
-					match = true
-				}
-			}
-			if !match {
-				t.Errorf("losses %v carry no %v", rep.Losses, tc.wantErr)
-			}
-			if rep.ShardsKept[0] != tc.keptShards {
-				t.Errorf("ShardsKept[0] = %d, want %d", rep.ShardsKept[0], tc.keptShards)
-			}
-			wantKept := 0
-			for _, c := range counts[:tc.keptShards] {
-				wantKept += c
-			}
-			if rep.EventsKept[0] != wantKept {
-				t.Errorf("EventsKept[0] = %d, want %d", rep.EventsKept[0], wantKept)
-			}
-			if want := tc.lostEvents(counts); rep.EventsLost[0] != want {
-				t.Errorf("EventsLost[0] = %d, want %d", rep.EventsLost[0], want)
-			}
+					rep, err := Recover(dir)
+					if err != nil {
+						t.Fatalf("Recover: %v", err)
+					}
+					if rep.Clean {
+						t.Fatal("damaged directory reported Clean")
+					}
+					var match bool
+					for _, l := range rep.Losses {
+						if errors.Is(l.Err, tc.wantErr) && (l.File == tg.file || l.File == ManifestName) {
+							match = true
+						}
+					}
+					if !match {
+						t.Errorf("losses %v carry no %v on %s", rep.Losses, tc.wantErr, tg.file)
+					}
+					wantKept := 0
+					for _, c := range counts[:tc.keptShards] {
+						wantKept += c
+					}
+					shardsKept, kept, lost := tg.report(rep)
+					if shardsKept != tc.keptShards {
+						t.Errorf("shards kept = %d, want %d", shardsKept, tc.keptShards)
+					}
+					if kept != wantKept {
+						t.Errorf("records kept = %d, want %d", kept, wantKept)
+					}
+					if want := tc.lostRecs(counts); lost != want {
+						t.Errorf("records lost = %d, want %d", lost, want)
+					}
 
-			// The rewritten directory must load, carry the degradation
-			// note, and hold exactly the validated event prefix.
-			back, err := Load(dir)
-			if err != nil {
-				t.Fatalf("Load after Recover: %v", err)
-			}
-			if back.Meta.Degraded == "" || !strings.HasPrefix(back.Meta.Degraded, "recovered:") {
-				t.Errorf("Meta.Degraded = %q, want a recovery note", back.Meta.Degraded)
-			}
-			if len(back.HWC[0]) != wantKept {
-				t.Fatalf("recovered experiment has %d events, want %d", len(back.HWC[0]), wantKept)
-			}
-			for i := range back.HWC[0] {
-				if !reflect.DeepEqual(back.HWC[0][i], e.HWC[0][i]) {
-					t.Fatalf("recovered event %d differs: %+v vs %+v", i, back.HWC[0][i], e.HWC[0][i])
-				}
-			}
+					// The rewritten directory must load, carry the degradation
+					// note, hold exactly the validated prefix of the damaged
+					// stream and all of the other one.
+					back, err := Load(dir)
+					if err != nil {
+						t.Fatalf("Load after Recover: %v", err)
+					}
+					if back.Meta.Degraded == "" || !strings.HasPrefix(back.Meta.Degraded, "recovered:") {
+						t.Errorf("Meta.Degraded = %q, want a recovery note", back.Meta.Degraded)
+					}
+					for _, other := range recoverTargets {
+						n := wantKept
+						if other.id != tg.id {
+							n = len(e.Prov) // multiShardSample gives both streams as many records
+							if _, okept, olost := other.report(rep); okept != n || olost != 0 {
+								t.Errorf("undamaged %s: %d kept, %d lost", other.file, okept, olost)
+							}
+						}
+						if !other.matches(back, e, n) {
+							t.Errorf("recovered %s does not hold the first %d records", other.file, n)
+						}
+					}
 
-			// A second recovery finds nothing more to fix (the degradation
-			// note in meta is expected and not a defect).
-			rep2, err := Recover(dir)
-			if err != nil {
-				t.Fatalf("second Recover: %v", err)
-			}
-			if !rep2.Clean {
-				t.Errorf("second Recover not Clean: losses %v", rep2.Losses)
+					// A second recovery finds nothing more to fix (the
+					// degradation note in meta is expected and not a defect).
+					rep2, err := Recover(dir)
+					if err != nil {
+						t.Fatalf("second Recover: %v", err)
+					}
+					if !rep2.Clean {
+						t.Errorf("second Recover not Clean: losses %v", rep2.Losses)
+					}
+				})
 			}
 		})
 	}
@@ -301,7 +347,7 @@ func TestRecoverProvisional(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Spool two full shards, as the collector would have before dying.
-	w, err := NewShardWriter(filepath.Join(dir, hwcV2Name(0)), 0)
+	w, err := eventKinds[0].create(nil, filepath.Join(dir, ShardFileName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"dsprof/internal/faultfs"
+	"dsprof/internal/hwc"
 )
 
 func shardEvents(n int) []HWCEvent {
@@ -19,7 +21,7 @@ func shardEvents(n int) []HWCEvent {
 
 func TestShardWriterRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hwc0.ev2")
-	w, err := NewShardWriter(path, 0)
+	w, err := eventKinds[0].create(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestShardWriterRoundtrip(t *testing.T) {
 	if shards[2].Count != 5 {
 		t.Errorf("tail count = %d", shards[2].Count)
 	}
-	idx, err := readShardIndex(path, 0)
+	idx, err := eventKinds[0].index(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestShardWriterRoundtrip(t *testing.T) {
 		if sh != shards[i] {
 			t.Errorf("shard %d index mismatch: %+v vs %+v", i, sh, shards[i])
 		}
-		sevs, err := readShardFile(path, sh)
+		sevs, err := decodeShard[HWCEvent](path, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +76,7 @@ func TestShardWriterRoundtrip(t *testing.T) {
 // shard, so a cancelled collection keeps delivered events.
 func TestShardWriterFlushPartial(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hwc1.ev2")
-	w, err := NewShardWriter(path, 1)
+	w, err := eventKinds[1].create(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestShardWriterFlushPartial(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := readShardIndex(path, 1)
+	idx, err := eventKinds[1].index(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +105,9 @@ func TestShardWriterFlushPartial(t *testing.T) {
 }
 
 func TestShardIndexTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hwc0.ev2")
-	if _, err := writeShardFile(faultfs.OS, path, 0, shardEvents(10)); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "hwc0.ev2")
+	if err := eventKinds[0].save(faultfs.OS, dir, &stream{}, shardEvents(10)); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -115,7 +118,7 @@ func TestShardIndexTruncated(t *testing.T) {
 		if err := os.WriteFile(path, b[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readShardIndex(path, 0); err == nil {
+		if _, err := eventKinds[0].index(path); err == nil {
 			t.Errorf("cut=%d: truncated shard file indexed without error", cut)
 		}
 	}
@@ -123,14 +126,30 @@ func TestShardIndexTruncated(t *testing.T) {
 
 func TestSyntheticShards(t *testing.T) {
 	evs := shardEvents(DefaultShardEvents + 1)
-	shards := syntheticShards(0, evs)
+	shards := eventKinds[0].synthetic(evs)
 	if len(shards) != 2 || shards[0].Count != DefaultShardEvents || shards[1].Count != 1 {
 		t.Fatalf("shards = %+v", shards)
 	}
 	if shards[1].MinCycles != evs[len(evs)-1].Cycles {
 		t.Errorf("tail MinCycles = %d", shards[1].MinCycles)
 	}
-	if syntheticShards(0, nil) != nil {
+	if eventKinds[0].synthetic(nil) != nil {
 		t.Error("synthetic shards of empty stream")
+	}
+}
+
+// TestOpenSpoolReleasesOnError: when a later stream's file cannot be
+// created, OpenSpool fails and leaves none of the earlier files behind.
+func TestOpenSpoolReleasesOnError(t *testing.T) {
+	dir := t.TempDir()
+	counters := []CounterSpec{{Event: hwc.EvECStall, Interval: 1009}, {Event: hwc.EvECRdMiss, Interval: 101}}
+	// Ops 1-4 create hwc0.ev2 and hwc1.ev2 and write their magic; op 5
+	// creates prov.pv2.
+	fsys := faultfs.NewInjected(faultfs.OS, faultfs.Schedule{Op: 5, Mode: faultfs.ModeError})
+	if _, err := OpenSpool(fsys, dir, counters, true, 0); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("OpenSpool = %v, want the injected create failure", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("failed OpenSpool left %v (%v)", entries, err)
 	}
 }

@@ -287,24 +287,16 @@ func VerifyDir(dir string) error {
 			return fmt.Errorf("experiment %s: verify: %s not covered by manifest", dir, name)
 		}
 	}
-	for pic := 0; pic < NumPICs; pic++ {
-		if len(got.Shards[pic]) != len(m.Shards[pic]) {
-			return fmt.Errorf("experiment %s: verify: pic%d has %d shards, manifest says %d",
-				dir, pic, len(got.Shards[pic]), len(m.Shards[pic]))
+	for id, sf := range streamFiles {
+		g, want := *got.sums(id), *m.sums(id)
+		if len(g) != len(want) {
+			return fmt.Errorf("experiment %s: verify: %s has %d shards, manifest says %d",
+				dir, sf.name, len(g), len(want))
 		}
-		for i, want := range m.Shards[pic] {
-			if got.Shards[pic][i] != want {
-				return fmt.Errorf("experiment %s: verify: pic%d shard %d does not match manifest", dir, pic, i)
+		for i := range want {
+			if g[i] != want[i] {
+				return fmt.Errorf("experiment %s: verify: %s shard %d does not match manifest", dir, sf.name, i)
 			}
-		}
-	}
-	if len(got.Prov) != len(m.Prov) {
-		return fmt.Errorf("experiment %s: verify: %d prov shards, manifest says %d",
-			dir, len(got.Prov), len(m.Prov))
-	}
-	for i, want := range m.Prov {
-		if got.Prov[i] != want {
-			return fmt.Errorf("experiment %s: verify: prov shard %d does not match manifest", dir, i)
 		}
 	}
 	return nil

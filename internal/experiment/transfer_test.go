@@ -32,7 +32,11 @@ func archiveRoundtrip(t *testing.T) (src, dst string, stream []byte) {
 
 func TestArchiveRoundtrip(t *testing.T) {
 	src, dst, _ := archiveRoundtrip(t)
-	// Every replicated file must be byte-identical to the source.
+	// Every replicated file — the provenance stream included — must be
+	// byte-identical to the source.
+	if _, err := os.Stat(filepath.Join(src, ProvFileName)); err != nil {
+		t.Fatalf("sample experiment has no %s: %v", ProvFileName, err)
+	}
 	entries, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
@@ -125,25 +129,48 @@ func TestVerifyDirCatchesTamper(t *testing.T) {
 	if err := VerifyDir(dir); err != nil {
 		t.Fatalf("intact dir: %v", err)
 	}
-	// Flip a byte inside the shard file: shard CRC must catch it.
-	path := filepath.Join(dir, ShardFileName(0))
-	b, err := os.ReadFile(path)
+	// Flip a byte inside each shard file: the file and shard CRCs must
+	// catch it. A manifest whose shard sums disagree with the files on
+	// disk must fail too.
+	intact, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-1] ^= 1
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyDir(dir); err == nil {
-		t.Error("tampered shard passed VerifyDir")
-	}
-	b[len(b)-1] ^= 1
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyDir(dir); err != nil {
-		t.Fatalf("restored dir: %v", err)
+	for _, id := range []int{0, provStream} {
+		name := streamFiles[id].name
+		forged := *intact
+		forged.Prov = append([]ShardSum(nil), intact.Prov...)
+		forged.Shards[0] = append([]ShardSum(nil), intact.Shards[0]...)
+		(*forged.sums(id))[0].CRC32 ^= 1
+		if err := writeManifestRaw(dir, &forged); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyDir(dir); err == nil {
+			t.Errorf("manifest with a forged %s shard sum passed VerifyDir", name)
+		}
+		if err := writeManifestRaw(dir, intact); err != nil {
+			t.Fatal(err)
+		}
+
+		path := filepath.Join(dir, name)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)-1] ^= 1
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyDir(dir); err == nil {
+			t.Errorf("tampered %s passed VerifyDir", name)
+		}
+		b[len(b)-1] ^= 1
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyDir(dir); err != nil {
+			t.Fatalf("restored dir: %v", err)
+		}
 	}
 	// A manifest-less directory is not admissible.
 	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {

@@ -309,6 +309,23 @@ func (s *Store) Dirs(ids []string) ([]string, error) {
 	return dirs, nil
 }
 
+// OpenExperiments opens the experiments the IDs name, in order. It uses
+// Open, not Load: v2 counter events stay on disk and stream
+// shard-by-shard through a parallel or distributed reduction.
+func (s *Store) OpenExperiments(ids []string) ([]*experiment.Experiment, error) {
+	dirs, err := s.Dirs(ids)
+	if err != nil {
+		return nil, err
+	}
+	exps := make([]*experiment.Experiment, len(dirs))
+	for i, d := range dirs {
+		if exps[i], err = experiment.Open(d); err != nil {
+			return nil, err
+		}
+	}
+	return exps, nil
+}
+
 // Analyzer returns the merged, reduced analyzer over the given
 // experiment IDs, memoized: the first query for a set of experiments
 // loads and reduces them; repeated queries (any order of the same IDs)
@@ -318,19 +335,9 @@ func (s *Store) Analyzer(ids []string) (*analyzer.Analyzer, error) {
 		return nil, fmt.Errorf("profd: no experiments selected")
 	}
 	return s.analyzers.Do(IDSetKey(ids), func() (*analyzer.Analyzer, error) {
-		dirs, err := s.Dirs(ids)
+		exps, err := s.OpenExperiments(ids)
 		if err != nil {
 			return nil, err
-		}
-		exps := make([]*experiment.Experiment, 0, len(dirs))
-		for _, d := range dirs {
-			// Open, not Load: v2 counter events stay on disk and stream
-			// shard-by-shard through the parallel reduction below.
-			exp, err := experiment.Open(d)
-			if err != nil {
-				return nil, err
-			}
-			exps = append(exps, exp)
 		}
 		// Keys[i] names exps[i] for the per-shard partial cache: store
 		// experiments are immutable, so id+shard coordinates is stable.
